@@ -22,7 +22,6 @@ from .flows import (AffineFlowCoefficients, FlowParameterization,
 from .grid import LambdaGrid
 from .integrate import (NoiseStream, ParticlePath, propagate_ensemble,
                         propagate_particle)
-from .kernels import active_backend, set_backend, use_backend
 from .model import (GaussianPrior, HomotopyDerivatives, LinearMeasurement,
                     grad_log_likelihood, grad_log_prior, homotopy_derivatives,
                     load_model, log_homotopy_density_unnormalized, save_model)

@@ -9,7 +9,7 @@ Every check runs against independently assembled oracles (explicit
 inverses, finite differences, hand-built schedules) rather than the
 code paths under test.
 
-Criteria carry wall-clock budgets, measured after JIT warmup.
+Each criterion carries a wall-clock budget, timed over its own checks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import kernels
 from .estimation import consistency_sweep, mean_estimate, sample_prior
 from .flows import (
     affine_coefficients,
@@ -110,7 +109,6 @@ def _rel(err: float, ref: float) -> float:
 
 def criterion_1() -> AcceptanceResult:
     """Terminal moments of every preset match the closed-form posterior."""
-    kernels.warmup()
     t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED)
     shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)]
@@ -144,7 +142,6 @@ def criterion_1() -> AcceptanceResult:
 
 def criterion_2() -> AcceptanceResult:
     """Moment paths are identical across admissible gain schedules."""
-    kernels.warmup()
     t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED + 1)
     n, d = 3, 2
@@ -187,7 +184,6 @@ def criterion_2() -> AcceptanceResult:
 
 def criterion_3() -> AcceptanceResult:
     """Ensemble estimator error scales as 1/sqrt(N) and stays unbiased."""
-    kernels.warmup()
     t0 = time.perf_counter()
     prior, meas = _canonical_model()
     params = preset("fixed_q", prior, meas)
@@ -218,7 +214,6 @@ def criterion_3() -> AcceptanceResult:
 
 def criterion_4() -> AcceptanceResult:
     """Drift satisfies the density-transport identity at random points."""
-    kernels.warmup()
     t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED + 2)
     shapes = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2)]
@@ -255,7 +250,6 @@ def criterion_4() -> AcceptanceResult:
 
 def criterion_5() -> AcceptanceResult:
     """Presets reduce to their closed forms, via explicit inverses."""
-    kernels.warmup()
     t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED + 3)
     checks = []
@@ -291,7 +285,7 @@ def criterion_5() -> AcceptanceResult:
         checks.append(("fixed_q diffusion", gap_q, 1e-10))
 
         alpha = 0.7
-        diag = diagnostic_noise(alpha, prior, meas)
+        diag = diagnostic_noise(alpha)
         ks = diag.k_stack(lams, prior, meas)
         qs = diag.q_stack(lams, prior, meas)
         gap_k = gap_q = 0.0
@@ -333,7 +327,6 @@ def criterion_5() -> AcceptanceResult:
 
 def criterion_6() -> AcceptanceResult:
     """Lyapunov identities, monotonicity, invariance and decay bounds."""
-    kernels.warmup()
     t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED + 4)
     failures = []
@@ -417,7 +410,6 @@ def criterion_6() -> AcceptanceResult:
 
 def criterion_7() -> AcceptanceResult:
     """Stability checkers return the right verdict on known cases."""
-    kernels.warmup()
     t0 = time.perf_counter()
     prior, meas = _canonical_model()
     grid = LambdaGrid.uniform(1000)
@@ -499,7 +491,6 @@ def criterion_7() -> AcceptanceResult:
 
 def criterion_8() -> AcceptanceResult:
     """Sequential flow filtering tracks the Kalman baseline."""
-    kernels.warmup()
     t0 = time.perf_counter()
     prior = GaussianPrior(np.array([0.0, 1.0]), np.eye(2))
     meas = LinearMeasurement(np.array([[1.0, 0.0]]), np.eye(1), np.zeros(1))
@@ -525,10 +516,8 @@ def criterion_8() -> AcceptanceResult:
 
 def _cli_env(threads: int) -> dict:
     env = os.environ.copy()
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMBA_NUM_THREADS"):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
-    env["FLOWFILT_BACKEND"] = kernels.active_backend()
     return env
 
 
@@ -544,7 +533,6 @@ def _run_cli(config: Path, outdir: Path, threads: int) -> None:
 
 def criterion_9() -> AcceptanceResult:
     """CLI artifacts are byte-identical across reruns and thread counts."""
-    kernels.warmup()
     t0 = time.perf_counter()
     # Thread pools may exceed the visible CPU count; that is the point.
     alt_threads = 4
@@ -602,7 +590,6 @@ CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 def run_all(verbose: bool = True) -> list:
     """Run every acceptance criterion, printing one line per verdict."""
-    kernels.warmup()
     results = []
     for fn in CRITERIA:
         result = fn()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, io, kernels
+from . import __version__, io
 from .errors import AdmissibilityError, ConfigError, DivergenceError
 from .estimation import consistency_sweep, estimator_report, sample_prior
 from .flows import PRESET_KINDS, preset
@@ -331,7 +331,6 @@ def run(config_path, seed=None, steps=None, out=None) -> int:
             "truth_seed": cfg.sequential.get("truth_seed"),
             "grid_steps": cfg.steps,
             "scheme": cfg.scheme,
-            "backend": kernels.active_backend(),
             "version": __version__,
             "outputs": sorted(outputs) + ["run_manifest.json"],
             "wall_time_seconds": time.time() - started,
@@ -357,6 +356,7 @@ def _fail(code: int, exc: Exception, outdir) -> int:
     if isinstance(exc, DivergenceError):
         record["step"] = exc.step
         record["particle"] = exc.particle
+        record["lam"] = exc.lam
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
     if outdir is not None and Path(outdir).is_dir():
         io.write_json(Path(outdir) / "error.json", record)

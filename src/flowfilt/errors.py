@@ -16,9 +16,12 @@ class DivergenceError(RuntimeError):
     Attributes:
         step: index of the integration step that produced the bad state.
         particle: index of the offending particle (-1 for single-state runs).
+        lam: grid node of the bad state, ``nodes[step + 1]`` (None when
+            unknown).
     """
 
-    def __init__(self, message, step=-1, particle=-1):
+    def __init__(self, message, step=-1, particle=-1, lam=None):
         super().__init__(message)
         self.step = int(step)
         self.particle = int(particle)
+        self.lam = None if lam is None else float(lam)

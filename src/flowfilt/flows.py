@@ -237,6 +237,13 @@ def affine_coefficients(lam, params: FlowParameterization, prior: GaussianPrior,
     return AffineFlowCoefficients(lam=lam, A=a[0], b=b[0], Q=q[0])
 
 
+def _exact_a1(lam: float, hph: np.ndarray, prior: GaussianPrior,
+              meas: LinearMeasurement) -> np.ndarray:
+    """``A1`` of the zero-diffusion flow, given ``hph = H P_g H^T``."""
+    gram = lam * hph + meas.R
+    return -0.5 * prior.P_g @ (meas.H.T @ np.linalg.solve(gram, meas.H))
+
+
 def exact_flow_coefficients(lam, prior: GaussianPrior,
                             meas: LinearMeasurement) -> AffineFlowCoefficients:
     """Closed-form coefficients of the zero-diffusion flow.
@@ -246,9 +253,7 @@ def exact_flow_coefficients(lam, prior: GaussianPrior,
     """
     lam = _check_lambda(lam)
     n = prior.n
-    h = meas.H
-    gram = lam * (h @ prior.P_g @ h.T) + meas.R
-    a1 = -0.5 * prior.P_g @ (h.T @ np.linalg.solve(gram, h))
+    a1 = _exact_a1(lam, meas.H @ prior.P_g @ meas.H.T, prior, meas)
     eye = np.eye(n)
     core = (eye + lam * a1) @ (prior.P_g @ meas.info_vector) + a1 @ prior.x_prior
     b1 = (eye + 2.0 * lam * a1) @ core
@@ -412,28 +417,33 @@ def reference_flow(a_hat: Callable[[float], np.ndarray],
     )
 
 
-def diagnostic_noise(alpha: float, prior: GaussianPrior,
-                     meas: LinearMeasurement) -> FlowParameterization:
+def diagnostic_noise(alpha: float) -> FlowParameterization:
     """Reference flow around the zero-diffusion drift with nominal ``Q = alpha I``.
 
-    alpha must be positive.  The induced diffusion is strictly positive
-    definite, which makes this preset useful for exercising the
-    exponential-decay stability regime.
+    alpha must be positive.  The reference drift is the exact flow of
+    whichever model the schedule is evaluated on, so the induced
+    diffusion is strictly positive definite on every model; this makes
+    the preset useful for exercising the exponential-decay stability
+    regime.
     """
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    n = prior.n
-    eye = np.eye(n)
 
-    def a_hat(lam: float) -> np.ndarray:
-        return exact_flow_coefficients(lam, prior, meas).A
+    def k_builder(lambdas, prior, meas):
+        hph = meas.H @ prior.P_g @ meas.H.T
 
-    base = reference_flow(a_hat, lambda lam: alpha * eye)
+        def a_hat(lam: float) -> np.ndarray:
+            return _exact_a1(_check_lambda(lam), hph, prior, meas)
+
+        eye = np.eye(prior.n)
+        base = reference_flow(a_hat, lambda lam: alpha * eye)
+        return base._k_builder(lambdas, prior, meas)
+
     return FlowParameterization(
         kind="diagnostic",
         description=f"reference flow around the zero-diffusion drift, alpha={alpha}",
-        k_builder=base._k_builder,
+        k_builder=k_builder,
         analytic_admissible=True,
         descriptor={"flow": "diagnostic", "alpha": alpha},
     )
@@ -466,7 +476,7 @@ def preset(kind: str, prior: GaussianPrior, meas: LinearMeasurement,
             raise ValueError("constant_q requires Q0")
         flow = constant_q(Q0)
     elif kind == "diagnostic":
-        flow = diagnostic_noise(alpha, prior, meas)
+        flow = diagnostic_noise(alpha)
     elif kind == "reference":
         if a_hat is None or q_nominal is None:
             raise ValueError("reference requires a_hat and q_nominal")

@@ -48,6 +48,24 @@ def make_generator(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Counter and output buffer of a freshly keyed Philox.
+_PHILOX_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(gen: np.random.Generator, seed: int, stream_id: int) -> None:
+    """Put ``gen`` in the state of ``make_generator(seed, stream_id)``.
+
+    Building a Philox also seeds an unused SeedSequence from OS entropy,
+    which costs more than the key itself; re-keying one generator skips
+    that for every stream after the first.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _PHILOX_ZEROS,
+                  "key": np.array([seed, stream_id], dtype=np.uint64)},
+        "buffer": _PHILOX_ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 @dataclass
 class NoiseStream:
     """Reproducible source of standard normal increments.
@@ -65,9 +83,18 @@ class NoiseStream:
         self.seed = _check_seed(self.seed)
         self.stream_id = _check_seed(self.stream_id)
 
-    def normals(self, steps: int, m: int) -> np.ndarray:
-        """Standard normal block of shape (steps, m), replayed from the key."""
-        gen = make_generator(self.seed, self.stream_id)
+    def normals(self, steps: int, m: int,
+                gen: np.random.Generator = None) -> np.ndarray:
+        """Standard normal block of shape (steps, m), replayed from the key.
+
+        ``gen``, when given, is a Philox generator that is re-keyed to
+        this stream and drawn from instead of building a new one; the
+        block is the same either way.
+        """
+        if gen is None:
+            gen = make_generator(self.seed, self.stream_id)
+        else:
+            _rekey(gen, self.seed, self.stream_id)
         out = gen.standard_normal((int(steps), int(m)))
         self.counter = int(steps)
         return out
@@ -134,11 +161,14 @@ def build_tables(params: FlowParameterization, grid: LambdaGrid,
                              q_factors=q_factors, m_max=m_max)
 
 
-def _raise_divergence(code: int, step: int, particle: int, single: bool):
+def _raise_divergence(code: int, step: int, particle: int, nodes: np.ndarray,
+                      single: bool):
     kind = "non-finite state" if code == 1 else "state norm overflow"
+    lam = nodes[step + 1]
     where = f"step {step}" if single else f"step {step}, particle {particle}"
-    raise DivergenceError(f"propagation diverged ({kind}) at {where}",
-                          step=step, particle=particle if not single else -1)
+    raise DivergenceError(f"propagation diverged ({kind}) at {where}, lam {lam:.6g}",
+                          step=step, particle=particle if not single else -1,
+                          lam=lam)
 
 
 def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
@@ -173,16 +203,18 @@ def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
         block = noise.normals(grid.steps, tables.m_max)
         _, paths, code, step, particle = kernels.em_propagate(
             x0[None, :], tables.a_nodes, tables.b_nodes, tables.q_factors,
-            block[None, :, :], tables.dlam, record=True)
+            block[:, :, None], tables.dlam, record=True)
     if code:
-        _raise_divergence(code, step, particle, single=True)
+        _raise_divergence(code, step, particle, grid.nodes, single=True)
     return ParticlePath(nodes=grid.nodes.copy(), states=paths[0])
 
 
 def _noise_chunk(seed: int, ids: range, steps: int, m: int) -> np.ndarray:
-    out = np.empty((len(ids), steps, m))
-    for row, stream_id in enumerate(ids):
-        out[row] = NoiseStream(seed, stream_id).normals(steps, m)
+    """Noise of the streams ``ids`` in the kernels' (steps, m, N) layout."""
+    out = np.empty((steps, m, len(ids)))
+    gen = make_generator(seed, 0)  # re-keyed to each stream below
+    for col, stream_id in enumerate(ids):
+        out[:, :, col] = NoiseStream(seed, stream_id).normals(steps, m, gen)
     return out
 
 
@@ -217,7 +249,7 @@ def propagate_ensemble(ensemble, params: FlowParameterization, grid: LambdaGrid,
             x, tables.a_nodes, tables.b_nodes, tables.a_mids, tables.b_mids,
             tables.dlam, record=False)
         if code:
-            _raise_divergence(code, step, particle, single=False)
+            _raise_divergence(code, step, particle, grid.nodes, single=False)
         return ParticleEnsemble(particles=out, lam=1.0, seed=ensemble.seed)
 
     steps, m = grid.steps, tables.m_max
@@ -231,6 +263,7 @@ def propagate_ensemble(ensemble, params: FlowParameterization, grid: LambdaGrid,
             x[start:stop], tables.a_nodes, tables.b_nodes, tables.q_factors,
             block, tables.dlam, record=False)
         if code:
-            _raise_divergence(code, step, particle + start, single=False)
+            _raise_divergence(code, step, particle + start, grid.nodes,
+                              single=False)
         out[start:stop] = states
     return ParticleEnsemble(particles=out, lam=1.0, seed=ensemble.seed)

@@ -1,15 +1,19 @@
-"""Hot propagation loops with a numba backend and a pure-numpy fallback.
+"""Hot propagation loops: Euler-Maruyama and classic RK4 over an ensemble.
 
-The backend is chosen by the FLOWFILT_BACKEND environment variable:
-``numba`` (JIT kernels), ``numpy`` (vectorized fallback) or ``auto``
-(numba when importable, numpy otherwise, the default).
+Inside the kernels the ensemble is column-major: the state is an (n, N)
+array with one column per particle and the EM noise is (steps, m, N), so
+each update is one numpy operation over all N particles.  Callers keep
+the row layout: states go in and come out as (N, n), and recorded paths
+are (N, steps+1, n), filled in place after every step.
 
-Both backends execute bit-identical arithmetic.  The numpy fallback
-accumulates matrix-vector products column by column in the same order as
-the scalar loops in the JIT kernels, and the JIT kernels are compiled
-without fastmath so no multiply-add fusion occurs.  Noise is never
-generated here; callers pass precomputed normal draws so the backend
-choice cannot change a result.
+The accumulation order is part of the contract, because ensemble row i
+must equal a single-particle run bit for bit.  Every product
+``a @ x + b`` starts at 0.0, adds ``a[j, kk] * x[kk]`` with kk
+ascending and adds b last; the step and stage sums below keep the order
+written in their comments.  Every operation is elementwise across
+columns, so a particle's result does not depend on the other particles
+in the block.  Noise is never generated here; callers pass precomputed
+normal draws.
 
 Kernel return convention: ``(code, step, particle)`` where code 0 means
 success, 1 a non-finite state and 2 a norm overflow.  The reported pair
@@ -18,293 +22,114 @@ is the lexicographically smallest (step, particle) that failed.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
 
 # States with any coordinate beyond this magnitude count as diverged.
 STATE_LIMIT = 1e12
 
-_BACKENDS = ("numpy", "numba")
+NUMBA_AVAILABLE = False  # kept for perfbench/run.py, which reads it
 
 
-def _resolve(name: str) -> str:
-    name = name.lower()
-    if name == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if name not in _BACKENDS:
-        raise ValueError(f"backend must be one of {('auto',) + _BACKENDS}, got {name!r}")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise ImportError("FLOWFILT_BACKEND=numba requested but numba is not importable")
-    return name
+def active_backend() -> str:  # kept for perfbench/run.py, which reads it
+    return "numpy"
 
 
-_ACTIVE = _resolve(os.environ.get("FLOWFILT_BACKEND", "auto"))
+def warmup() -> None:  # kept for perfbench/run.py, which calls it
+    pass
 
 
-def active_backend() -> str:
-    """Name of the backend currently executing the hot loops."""
-    return _ACTIVE
+def _affine(a, x, out, tmp, b=None):
+    """``out = a @ x (+ b)`` for every column of x, in the contract's order."""
+    # (a0 x0) + 0.0 equals 0.0 + (a0 x0), signed zeros included, so the
+    # first term goes straight into out.
+    np.multiply(a[:, 0, None], x[0], out=out)
+    out += 0.0
+    for kk in range(1, a.shape[1]):
+        np.multiply(a[:, kk, None], x[kk], out=tmp)
+        out += tmp
+    if b is not None:
+        out += b[:, None]
 
 
-def set_backend(name: str) -> None:
-    """Switch backends at runtime (used by tests and benchmarks)."""
-    global _ACTIVE
-    _ACTIVE = _resolve(name)
-
-
-@contextlib.contextmanager
-def use_backend(name: str):
-    previous = _ACTIVE
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-# ---------------------------------------------------------------------------
-# Pure-numpy implementations.
-
-
-def _apply_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise ``a @ x_i`` accumulated column by column.
-
-    Matches the scalar accumulation order of the JIT kernels exactly, so
-    results are bit-identical across backends.
-    """
-    out = np.zeros((x.shape[0], a.shape[0]))
-    for kk in range(a.shape[1]):
-        out += x[:, kk, None] * a[:, kk]
-    return out
-
-
-def _scan_bad(x: np.ndarray, limit: float):
-    """Return (code, particle) for the first bad row, or (0, -1)."""
-    nonfinite = ~np.isfinite(x).all(axis=1)
-    overflow = np.abs(x).max(axis=1) > limit
-    bad = nonfinite | overflow
-    if not bad.any():
+def _first_bad(x, limit):
+    """(code, particle) of the smallest failing column, or (0, -1)."""
+    # One whole-array test per step; NaN makes the comparisons false.
+    if x.max(initial=-limit) <= limit and x.min(initial=limit) >= -limit:
         return 0, -1
+    nonfinite = ~np.isfinite(x).all(axis=0)
+    bad = nonfinite | (np.abs(x) > limit).any(axis=0)
     i = int(np.argmax(bad))
     return (1 if nonfinite[i] else 2), i
 
 
-def _em_np(x, a_all, b_all, q_all, noise, dlam, limit, record):
-    steps = dlam.shape[0]
+def _em(x, a_all, b_all, q_all, noise, dlam, limit, paths):
     m = q_all.shape[2]
-    paths = np.empty((x.shape[0], steps + 1, x.shape[1])) if record else None
-    if record:
-        paths[:, 0, :] = x
-    for k in range(steps):
+    drift, xi, tmp = (np.empty_like(x) for _ in range(3))
+    for k in range(dlam.shape[0]):
         dl = dlam[k]
-        sdl = math.sqrt(dl)
-        fx = _apply_rows(a_all[k], x) + b_all[k]
-        x3 = x + fx * dl
+        # x + (a x + b) dl, then + (q xi) sqrt(dl)
+        _affine(a_all[k], x, drift, tmp, b_all[k])
+        drift *= dl
+        drift += x
         if m > 0:
-            xi = _apply_rows(q_all[k], noise[:, k, :])
-            x = x3 + xi * sdl
+            _affine(q_all[k], noise[k], xi, tmp)
+            xi *= math.sqrt(dl)
+            np.add(drift, xi, out=x)
         else:
-            x = x3
-        if record:
-            paths[:, k + 1, :] = x
-        code, particle = _scan_bad(x, limit)
+            x, drift = drift, x
+        if paths is not None:
+            paths[:, k + 1, :] = x.T
+        code, particle = _first_bad(x, limit)
         if code:
-            return x, paths, code, k, particle
-    return x, paths, 0, -1, -1
+            return x, code, k, particle
+    return x, 0, -1, -1
 
 
-def _rk4_np(x, a_nodes, b_nodes, a_mids, b_mids, dlam, limit, record):
-    steps = dlam.shape[0]
-    paths = np.empty((x.shape[0], steps + 1, x.shape[1])) if record else None
-    if record:
-        paths[:, 0, :] = x
-    for k in range(steps):
+def _rk4(x, a_nodes, b_nodes, a_mids, b_mids, dlam, limit, paths):
+    k1, k2, k3, k4, xw, tmp = (np.empty_like(x) for _ in range(6))
+    for k in range(dlam.shape[0]):
         h = dlam[k]
         half = 0.5 * h
-        c = h / 6.0
-        k1 = _apply_rows(a_nodes[k], x) + b_nodes[k]
-        xa = x + k1 * half
-        k2 = _apply_rows(a_mids[k], xa) + b_mids[k]
-        xb = x + k2 * half
-        k3 = _apply_rows(a_mids[k], xb) + b_mids[k]
-        xc = x + k3 * h
-        k4 = _apply_rows(a_nodes[k + 1], xc) + b_nodes[k + 1]
-        t = ((k1 + 2.0 * k2) + 2.0 * k3) + k4
-        x = x + t * c
-        if record:
-            paths[:, k + 1, :] = x
-        code, particle = _scan_bad(x, limit)
+        _affine(a_nodes[k], x, k1, tmp, b_nodes[k])
+        np.multiply(k1, half, out=xw)
+        xw += x
+        _affine(a_mids[k], xw, k2, tmp, b_mids[k])
+        np.multiply(k2, half, out=xw)
+        xw += x
+        _affine(a_mids[k], xw, k3, tmp, b_mids[k])
+        np.multiply(k3, h, out=xw)
+        xw += x
+        _affine(a_nodes[k + 1], xw, k4, tmp, b_nodes[k + 1])
+        # x + (((k1 + 2 k2) + 2 k3) + k4) (h / 6)
+        k2 *= 2.0
+        k2 += k1
+        k3 *= 2.0
+        k3 += k2
+        k4 += k3
+        k4 *= h / 6.0
+        x += k4
+        if paths is not None:
+            paths[:, k + 1, :] = x.T
+        code, particle = _first_bad(x, limit)
         if code:
-            return x, paths, code, k, particle
-    return x, paths, 0, -1, -1
-
-
-# ---------------------------------------------------------------------------
-# JIT implementations.  The arithmetic mirrors the numpy fallback term by
-# term; keep both in sync when changing either.
-
-
-@njit(cache=True)
-def _row_code(xn, n, limit):
-    has_nf = False
-    has_ov = False
-    for j in range(n):
-        v = xn[j]
-        if np.isnan(v) or np.isinf(v):
-            has_nf = True
-        elif v > limit or v < -limit:
-            has_ov = True
-    if has_nf:
-        return 1
-    if has_ov:
-        return 2
-    return 0
-
-
-@njit(cache=True)
-def _em_nb(x_io, a_all, b_all, q_all, noise, dlam, limit, paths, record):
-    n_particles, n = x_io.shape
-    steps = dlam.shape[0]
-    m = q_all.shape[2]
-    best_code = 0
-    best_step = steps + 1
-    best_particle = -1
-    x = np.empty(n)
-    xn = np.empty(n)
-    for i in range(n_particles):
-        for j in range(n):
-            x[j] = x_io[i, j]
-        if record:
-            for j in range(n):
-                paths[i, 0, j] = x[j]
-        for k in range(steps):
-            dl = dlam[k]
-            sdl = math.sqrt(dl)
-            for j in range(n):
-                acc = 0.0
-                for kk in range(n):
-                    acc += x[kk] * a_all[k, j, kk]
-                t1 = acc + b_all[k, j]
-                t3 = x[j] + t1 * dl
-                if m > 0:
-                    s = 0.0
-                    for ll in range(m):
-                        s += noise[i, k, ll] * q_all[k, j, ll]
-                    xn[j] = t3 + s * sdl
-                else:
-                    xn[j] = t3
-            for j in range(n):
-                x[j] = xn[j]
-            if record:
-                for j in range(n):
-                    paths[i, k + 1, j] = x[j]
-            code = _row_code(x, n, limit)
-            if code != 0:
-                if k < best_step:
-                    best_code = code
-                    best_step = k
-                    best_particle = i
-                break
-        for j in range(n):
-            x_io[i, j] = x[j]
-    if best_particle < 0:
-        return 0, -1, -1
-    return best_code, best_step, best_particle
-
-
-@njit(cache=True)
-def _rk4_nb(x_io, a_nodes, b_nodes, a_mids, b_mids, dlam, limit, paths, record):
-    n_particles, n = x_io.shape
-    steps = dlam.shape[0]
-    best_code = 0
-    best_step = steps + 1
-    best_particle = -1
-    x = np.empty(n)
-    k1 = np.empty(n)
-    k2 = np.empty(n)
-    k3 = np.empty(n)
-    k4 = np.empty(n)
-    xw = np.empty(n)
-    for i in range(n_particles):
-        for j in range(n):
-            x[j] = x_io[i, j]
-        if record:
-            for j in range(n):
-                paths[i, 0, j] = x[j]
-        for k in range(steps):
-            h = dlam[k]
-            half = 0.5 * h
-            c = h / 6.0
-            for j in range(n):
-                acc = 0.0
-                for kk in range(n):
-                    acc += x[kk] * a_nodes[k, j, kk]
-                k1[j] = acc + b_nodes[k, j]
-            for j in range(n):
-                xw[j] = x[j] + k1[j] * half
-            for j in range(n):
-                acc = 0.0
-                for kk in range(n):
-                    acc += xw[kk] * a_mids[k, j, kk]
-                k2[j] = acc + b_mids[k, j]
-            for j in range(n):
-                xw[j] = x[j] + k2[j] * half
-            for j in range(n):
-                acc = 0.0
-                for kk in range(n):
-                    acc += xw[kk] * a_mids[k, j, kk]
-                k3[j] = acc + b_mids[k, j]
-            for j in range(n):
-                xw[j] = x[j] + k3[j] * h
-            for j in range(n):
-                acc = 0.0
-                for kk in range(n):
-                    acc += xw[kk] * a_nodes[k + 1, j, kk]
-                k4[j] = acc + b_nodes[k + 1, j]
-            for j in range(n):
-                t = ((k1[j] + 2.0 * k2[j]) + 2.0 * k3[j]) + k4[j]
-                x[j] = x[j] + t * c
-            if record:
-                for j in range(n):
-                    paths[i, k + 1, j] = x[j]
-            code = _row_code(x, n, limit)
-            if code != 0:
-                if k < best_step:
-                    best_code = code
-                    best_step = k
-                    best_particle = i
-                break
-        for j in range(n):
-            x_io[i, j] = x[j]
-    if best_particle < 0:
-        return 0, -1, -1
-    return best_code, best_step, best_particle
-
-
-# ---------------------------------------------------------------------------
-# Dispatch.
+            return x, code, k, particle
+    return x, 0, -1, -1
 
 
 def _contig(a):
     return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _columns(x0, steps, record):
+    """(n, N) working copy of the (N, n) states and the recorded paths."""
+    x = np.array(np.atleast_2d(x0).T, dtype=np.float64, order="C")
+    if not record:
+        return x, None
+    paths = np.empty((x.shape[1], steps + 1, x.shape[0]))
+    paths[:, 0, :] = x.T
+    return x, paths
 
 
 def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
@@ -316,7 +141,8 @@ def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
         a_all, b_all: (steps, n, n) and (steps, n) drift coefficients at
             the left node of each step.
         q_all: (steps, n, m) diffusion factors; m may be 0.
-        noise: (N, steps, m) standard normal draws.
+        noise: (steps, m, N) standard normal draws; column i is the
+            noise of particle i.
         dlam: (steps,) step sizes.
         record: when true, also return the full (N, steps+1, n) paths.
 
@@ -324,18 +150,12 @@ def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
         (states, paths, code, step, particle); paths is None unless
         ``record``.
     """
-    x = _contig(np.atleast_2d(x0)).copy()
-    a_all, b_all, q_all = _contig(a_all), _contig(b_all), _contig(q_all)
-    noise, dlam = _contig(noise), _contig(dlam)
-    if _ACTIVE == "numpy":
-        x, paths, code, step, particle = _em_np(
-            x, a_all, b_all, q_all, noise, dlam, limit, record)
-        return x, paths, code, step, particle
-    paths = np.empty((x.shape[0], dlam.shape[0] + 1, x.shape[1])) if record \
-        else np.empty((0, 0, 0))
-    code, step, particle = _em_nb(x, a_all, b_all, q_all, noise, dlam,
-                                  limit, paths, record)
-    return x, (paths if record else None), code, step, particle
+    dlam = _contig(dlam)
+    x, paths = _columns(x0, dlam.shape[0], record)
+    x, code, step, particle = _em(x, _contig(a_all), _contig(b_all),
+                                  _contig(q_all), _contig(noise), dlam,
+                                  limit, paths)
+    return np.ascontiguousarray(x.T), paths, code, step, particle
 
 
 def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
@@ -345,32 +165,9 @@ def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
     Shapes follow :func:`em_propagate` with drift coefficients supplied
     at the nodes and at the step midpoints.
     """
-    x = _contig(np.atleast_2d(x0)).copy()
-    a_nodes, b_nodes = _contig(a_nodes), _contig(b_nodes)
-    a_mids, b_mids = _contig(a_mids), _contig(b_mids)
     dlam = _contig(dlam)
-    if _ACTIVE == "numpy":
-        x, paths, code, step, particle = _rk4_np(
-            x, a_nodes, b_nodes, a_mids, b_mids, dlam, limit, record)
-        return x, paths, code, step, particle
-    paths = np.empty((x.shape[0], dlam.shape[0] + 1, x.shape[1])) if record \
-        else np.empty((0, 0, 0))
-    code, step, particle = _rk4_nb(x, a_nodes, b_nodes, a_mids, b_mids,
-                                   dlam, limit, paths, record)
-    return x, (paths if record else None), code, step, particle
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of all kernels on tiny inputs."""
-    if _ACTIVE != "numba":
-        return
-    x = np.zeros((1, 1))
-    a = np.zeros((1, 1, 1))
-    b = np.zeros((1, 1))
-    q = np.zeros((1, 1, 1))
-    noise = np.zeros((1, 1, 1))
-    dlam = np.ones(1)
-    em_propagate(x, a, b, q, noise, dlam, record=False)
-    em_propagate(x, a, b, q, noise, dlam, record=True)
-    rk4_propagate(x, a, b, a, b, dlam, record=False)
-    rk4_propagate(x, a, b, a, b, dlam, record=True)
+    x, paths = _columns(x0, dlam.shape[0], record)
+    x, code, step, particle = _rk4(x, _contig(a_nodes), _contig(b_nodes),
+                                   _contig(a_mids), _contig(b_mids), dlam,
+                                   limit, paths)
+    return np.ascontiguousarray(x.T), paths, code, step, particle

@@ -96,8 +96,9 @@ def solve_moment_odes(params: FlowParameterization, grid: LambdaGrid,
 
     mean = means[0].copy()
     cov = covs[0].copy()
+    dlam = grid.dlam
     for k in range(steps):
-        h = grid.dlam[k]
+        h = dlam[k]
         am, bm, qm = a_mids[k], b_mids[k], q_mids[k]
         d1m, d1c = rhs(a_nodes[k], b_nodes[k], q_nodes[k], mean, cov)
         d2m, d2c = rhs(am, bm, qm, mean + 0.5 * h * d1m, cov + 0.5 * h * d1c)
@@ -107,8 +108,10 @@ def solve_moment_odes(params: FlowParameterization, grid: LambdaGrid,
         mean = mean + (h / 6.0) * (d1m + 2.0 * d2m + 2.0 * d3m + d4m)
         cov = cov + (h / 6.0) * (d1c + 2.0 * d2c + 2.0 * d3c + d4c)
         cov = 0.5 * (cov + cov.T)
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise DivergenceError(f"moment propagation diverged at step {k}", step=k)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise DivergenceError(
+                f"moment propagation diverged at step {k} (lam {nodes[k + 1]:.6g})",
+                step=k, lam=nodes[k + 1])
         means[k + 1] = mean
         covs[k + 1] = cov
     return MomentPath(nodes=nodes.copy(), means=means, covariances=covs)

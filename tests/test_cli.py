@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from flowfilt import GaussianPrior, LinearMeasurement, save_model
+from flowfilt import GaussianPrior, LambdaGrid, LinearMeasurement, save_model
 from flowfilt.cli import (
     EXIT_ADMISSIBILITY,
     EXIT_DIVERGENCE,
@@ -91,7 +91,6 @@ def test_run_flow_path_writes_artifacts(tmp_path):
     assert manifest["ensemble_seed"] == 99
     assert set(manifest["outputs"]) == {
         "path.csv", "ensemble.csv", "summary.json", "run_manifest.json"}
-    assert manifest["backend"] in ("numba", "numpy")
 
     header = (out / "path.csv").read_text().splitlines()[0]
     assert header.split(",")[0] == "lambda"
@@ -151,6 +150,8 @@ def test_run_exit_code_divergence_writes_error_json(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["exit_code"] == EXIT_DIVERGENCE
     assert record["step"] == 0
+    assert record["lam"] == LambdaGrid.uniform(60).nodes[1]
+    assert "lam" in record["message"]
     on_disk = json.loads((tmp_path / "out" / "error.json").read_text())
     assert on_disk == record
 

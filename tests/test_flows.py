@@ -117,6 +117,21 @@ def test_diagnostic_scalar_schedule(canonical):
     assert_allclose(q, np.full((3, 1, 1), 2.0), atol=1e-12)
 
 
+def test_diagnostic_preset_holds_no_model_state(make_model):
+    rng = np.random.default_rng(17)
+    prior_a, meas_a = make_model(rng, 3, 2)
+    prior_b, meas_b = make_model(rng, 3, 2)
+    built_on_a = preset("diagnostic", prior_a, meas_a, alpha=0.5)
+    built_on_b = preset("diagnostic", prior_b, meas_b, alpha=0.5)
+    lams = np.linspace(0.0, 1.0, 11)
+    moved = affine_tables(built_on_a, prior_b, meas_b, lams)
+    native = affine_tables(built_on_b, prior_b, meas_b, lams)
+    for got, want in zip(moved, native):
+        assert np.array_equal(got, want)
+    # The induced diffusion is 2 alpha I on the model the flow meets.
+    assert_allclose(moved[2], np.broadcast_to(np.eye(3), (11, 3, 3)), atol=1e-10)
+
+
 def test_constant_q_round_trips_through_schedule(make_model):
     rng = np.random.default_rng(13)
     prior, meas = make_model(rng, 3, 2)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from flowfilt import (
+    DivergenceError,
     LambdaGrid,
     closed_form_posterior,
     lmv_estimate,
@@ -99,3 +100,14 @@ def test_closed_form_posterior_rejects_bad_lam(canonical):
     prior, meas = canonical
     with pytest.raises(ValueError):
         closed_form_posterior(1.5, prior, meas)
+
+
+def test_moment_divergence_names_step_and_lam(canonical):
+    prior, meas = canonical
+    params = preset("constant_q", prior, meas, Q0=np.array([[1e300]]))
+    grid = LambdaGrid.uniform(50)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        solve_moment_odes(params, grid, prior, meas)
+    assert info.value.step == 0
+    assert info.value.lam == grid.nodes[1]
+    assert "lam" in str(info.value)
