@@ -356,6 +356,7 @@ def _fail(code: int, exc: Exception, outdir) -> int:
     if isinstance(exc, DivergenceError):
         record["step"] = exc.step
         record["particle"] = exc.particle
+    if isinstance(exc, (AdmissibilityError, DivergenceError)):
         record["lam"] = exc.lam
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
     if outdir is not None and Path(outdir).is_dir():

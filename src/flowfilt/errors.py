@@ -7,7 +7,16 @@ class ConfigError(ValueError):
 
 class AdmissibilityError(ValueError):
     """Raised when a flow parameterization fails the positivity test
-    that guarantees a valid diffusion matrix."""
+    that guarantees a valid diffusion matrix, or when the error dynamics
+    leave the trusted numerical range.
+
+    Attributes:
+        lam: lam value of the first failing node (None when unknown).
+    """
+
+    def __init__(self, message, lam=None):
+        super().__init__(message)
+        self.lam = None if lam is None else float(lam)
 
 
 class DivergenceError(RuntimeError):

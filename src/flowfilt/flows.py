@@ -44,11 +44,13 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _min_eig_ok(t: np.ndarray) -> bool:
-    """Positive semidefiniteness up to a scaled eigenvalue tolerance."""
-    w = np.linalg.eigvalsh(_sym(t))
-    scale = np.abs(w).max(axis=-1)
-    return bool(np.all(w.min(axis=-1) >= -_ADMISSIBILITY_TOL * np.maximum(scale, 1e-300)))
+def _first_indefinite(t: np.ndarray) -> int:
+    """Index of the first matrix of ``t`` (one matrix or a stack) that is
+    not positive semidefinite up to a scaled eigenvalue tolerance, or -1."""
+    w = np.linalg.eigvalsh(_sym(t).reshape(-1, *t.shape[-2:]))
+    scale = np.maximum(np.abs(w).max(axis=1), 1e-300)
+    bad = np.nonzero(w.min(axis=1) < -_ADMISSIBILITY_TOL * scale)[0]
+    return int(bad[0]) if bad.size else -1
 
 
 def is_admissible(K, derivs: HomotopyDerivatives) -> bool:
@@ -61,7 +63,7 @@ def is_admissible(K, derivs: HomotopyDerivatives) -> bool:
     n = derivs.M.shape[0]
     if K.shape != (n, n):
         raise ValueError(f"K must have shape {(n, n)}, got {K.shape}")
-    return _min_eig_ok(K + K.T - derivs.hess_log_h)
+    return _first_indefinite(K + K.T - derivs.hess_log_h) < 0
 
 
 def q_from_k(K, derivs: HomotopyDerivatives) -> np.ndarray:
@@ -81,7 +83,7 @@ def k_from_q(Q, derivs: HomotopyDerivatives) -> np.ndarray:
         raise ValueError(f"Q must have shape {(n, n)}, got {Q.shape}")
     if np.abs(Q - Q.T).max() > 1e-12 * max(np.abs(Q).max(), 1e-300):
         raise AdmissibilityError("Q must be symmetric")
-    if not _min_eig_ok(Q):
+    if _first_indefinite(Q) >= 0:
         raise AdmissibilityError("Q must be positive semidefinite")
     return 0.5 * (derivs.M @ Q @ derivs.M) + 0.5 * derivs.hess_log_h
 
@@ -154,22 +156,16 @@ class FlowParameterization:
         """
         lambdas = np.linspace(0.0, 1.0, grid_points)
         ks = self.k_stack(lambdas, prior, meas)
-        test = ks + np.swapaxes(ks, 1, 2) + meas.info_matrix
-        w = np.linalg.eigvalsh(_sym(test))
-        scale = np.maximum(np.abs(w).max(axis=1), 1e-300)
-        bad = np.nonzero(w.min(axis=1) < -_ADMISSIBILITY_TOL * scale)[0]
-        if bad.size:
+        bad = _first_indefinite(ks + np.swapaxes(ks, 1, 2) + meas.info_matrix)
+        if bad >= 0:
             raise AdmissibilityError(
-                f"flow {self.kind!r} is inadmissible at lam={lambdas[bad[0]]:.4f}"
-            )
-        qs = self.q_stack(lambdas, prior, meas)
-        wq = np.linalg.eigvalsh(_sym(qs))
-        scale_q = np.maximum(np.abs(wq).max(axis=1), 1e-300)
-        bad_q = np.nonzero(wq.min(axis=1) < -_ADMISSIBILITY_TOL * scale_q)[0]
-        if bad_q.size:
+                f"flow {self.kind!r} is inadmissible at lam={lambdas[bad]:.4f}",
+                lam=lambdas[bad])
+        bad = _first_indefinite(self.q_stack(lambdas, prior, meas))
+        if bad >= 0:
             raise AdmissibilityError(
-                f"flow {self.kind!r} has an indefinite diffusion at lam={lambdas[bad_q[0]]:.4f}"
-            )
+                f"flow {self.kind!r} has an indefinite diffusion at lam={lambdas[bad]:.4f}",
+                lam=lambdas[bad])
         probe = lambdas[[grid_points // 2]]
         k1 = self.k_stack(probe, prior, meas)
         k2 = self.k_stack(probe, prior, meas)
@@ -201,14 +197,11 @@ def affine_tables(params: FlowParameterization, prior: GaussianPrior,
     ks = params.k_stack(lambdas, prior, meas)
 
     if not params.analytic_admissible:
-        test = ks + np.swapaxes(ks, 1, 2) + g_info
-        w = np.linalg.eigvalsh(_sym(test))
-        scale = np.maximum(np.abs(w).max(axis=1), 1e-300)
-        bad = np.nonzero(w.min(axis=1) < -_ADMISSIBILITY_TOL * scale)[0]
-        if bad.size:
+        bad = _first_indefinite(ks + np.swapaxes(ks, 1, 2) + g_info)
+        if bad >= 0:
             raise AdmissibilityError(
-                f"flow {params.kind!r} is inadmissible at lam={lambdas[bad[0]]:.6f}"
-            )
+                f"flow {params.kind!r} is inadmissible at lam={lambdas[bad]:.6f}",
+                lam=lambdas[bad])
 
     a_stack = -np.linalg.solve(m_stack, g_info[None, :, :] + ks)
 
@@ -341,7 +334,7 @@ def constant_q(Q0) -> FlowParameterization:
         raise ValueError(f"Q0 must be square, got shape {q0.shape}")
     if np.abs(q0 - q0.T).max() > 1e-12 * max(np.abs(q0).max(), 1e-300):
         raise AdmissibilityError("Q0 must be symmetric")
-    if not _min_eig_ok(q0):
+    if _first_indefinite(q0) >= 0:
         raise AdmissibilityError("Q0 must be positive semidefinite")
     q0 = _sym(q0)
 

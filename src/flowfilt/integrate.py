@@ -210,8 +210,13 @@ def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
 
 
 def _noise_chunk(seed: int, ids: range, steps: int, m: int) -> np.ndarray:
-    """Noise of the streams ``ids`` in the kernels' (steps, m, N) layout."""
+    """Noise of the streams ``ids`` in the kernels' (steps, m, N) layout.
+
+    A flow without diffusion (m == 0) draws nothing, so no stream is keyed.
+    """
     out = np.empty((steps, m, len(ids)))
+    if m == 0:
+        return out
     gen = make_generator(seed, 0)  # re-keyed to each stream below
     for col, stream_id in enumerate(ids):
         out[:, :, col] = NoiseStream(seed, stream_id).normals(steps, m, gen)

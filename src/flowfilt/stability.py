@@ -7,6 +7,13 @@ and ``M(lam) = S + lam H^T R^{-1} H``; along admissible flows
 ``V_M = xtilde^T M xtilde`` never increases and decays exponentially at
 rate ``sigma = min_eig(Q0) * min_eig(S)`` whenever the diffusion is
 uniformly positive definite.
+
+The ODE is linear with no offset, so its RK4 solution is linear in the
+initial error: ``xtilde_k = Phi_k xtilde_0``.  Every check propagates the
+n unit vectors once to get the transition matrices ``Phi_k`` and reads
+trajectories and Lyapunov traces (``xtilde_0^T Phi_k^T W Phi_k xtilde_0``)
+off them.  The trusted-range check therefore applies to Phi, not to each
+trajectory, whatever the size of the initial errors.
 """
 
 from __future__ import annotations
@@ -24,9 +31,6 @@ from .flows import FlowParameterization, affine_tables, exact_flow
 from .grid import LambdaGrid
 from .integrate import ELLIPSOID_STREAM, FTSS_STREAM, make_generator
 from .model import GaussianPrior, HomotopyDerivatives, LinearMeasurement
-
-# Per-chunk budget (float64 entries) for Monte Carlo trajectory blocks.
-_CHUNK_BUDGET = 8_000_000
 
 
 class Regime(Enum):
@@ -99,35 +103,54 @@ class StabilityReport:
         }
 
 
-def _quad_trace(paths: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """x^T W x for every (particle, node); einsum keeps it deterministic."""
-    return np.einsum("pki,ij,pkj->pk", paths, weight, paths, optimize=False)
+def _flow_a(params, prior, meas):
+    """``lams -> A`` stack of a flow's drift: its error ODE."""
+    return lambda lams: affine_tables(params, prior, meas, lams, want_q=False)[0]
 
 
-def _flow_error_tables(params, grid, prior, meas):
-    """Drift tables of the error ODE: the flow's A with b forced to zero."""
-    a_nodes, _, _ = affine_tables(params, prior, meas, grid.nodes, want_q=False)
-    a_mids, _, _ = affine_tables(params, prior, meas, grid.midpoints, want_q=False)
-    n = prior.n
-    return a_nodes, np.zeros((grid.steps + 1, n)), a_mids, np.zeros((grid.steps, n))
+def _system_a(a_fn: Callable[[float], np.ndarray]):
+    """``lams -> A`` stack of a hand-supplied system ``dx = A(lam) x dlam``."""
+    return lambda lams: np.stack([np.asarray(a_fn(float(l)), dtype=float) for l in lams])
 
 
-def _system_error_tables(a_fn: Callable[[float], np.ndarray], grid: LambdaGrid, n: int):
-    """Drift tables for a hand-supplied linear system ``dx = A(lam) x dlam``."""
-    a_nodes = np.stack([np.asarray(a_fn(float(l)), dtype=float) for l in grid.nodes])
-    a_mids = np.stack([np.asarray(a_fn(float(l)), dtype=float) for l in grid.midpoints])
-    return a_nodes, np.zeros((grid.steps + 1, n)), a_mids, np.zeros((grid.steps, n))
+def _transition(a_of, grid: LambdaGrid) -> np.ndarray:
+    """RK4 transition matrices ``Phi`` of ``dx = A(lam) x dlam``, (steps+1, n, n).
 
-
-def _propagate_errors(x0_block, tables, dlam):
-    a_nodes, b_nodes, a_mids, b_mids = tables
-    states, paths, code, step, particle = kernels.rk4_propagate(
-        x0_block, a_nodes, b_nodes, a_mids, b_mids, dlam, record=True)
+    ``a_of`` maps lam values to stacked A matrices; it is evaluated at the
+    nodes and at the midpoints.  Column j of ``Phi[k]`` is the state at
+    node k of the run started from the j-th unit vector.
+    """
+    a_nodes = a_of(grid.nodes)
+    n = a_nodes.shape[1]
+    _, paths, code, step, _ = kernels.rk4_propagate(
+        np.eye(n), a_nodes, np.zeros((grid.steps + 1, n)), a_of(grid.midpoints),
+        np.zeros((grid.steps, n)), grid.dlam, record=True)
     if code:
+        lam = grid.nodes[step + 1]
         raise AdmissibilityError(
-            f"error trajectory left the trusted range at step {step}"
-        )
-    return paths
+            f"error dynamics left the trusted range at step {step}, lam {lam:.6g}",
+            lam=lam)
+    return np.ascontiguousarray(paths.transpose(1, 2, 0))
+
+
+def _node_quad(phi: np.ndarray, weight: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """``x0_p^T (Phi_k^T W_k Phi_k) x0_p`` for every (point, node); W may be
+    one matrix or one per node."""
+    forms = np.swapaxes(phi, 1, 2) @ weight @ phi
+    outer = x0[:, :, None] * x0[:, None, :]
+    # einsum without optimization never calls BLAS, so it stays deterministic.
+    return np.einsum("pij,kij->pk", outer, forms, optimize=False)
+
+
+def _ellipsoid_points(count: int, s_weight: np.ndarray, seed: int) -> np.ndarray:
+    """``count`` points on the ellipsoid ``x^T S x = 1``, one per row."""
+    gen = make_generator(seed, ELLIPSOID_STREAM)
+    z = gen.standard_normal((count, s_weight.shape[0]))
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("degenerate direction draw")
+    chol_s = np.linalg.cholesky(s_weight)
+    return solve_triangular(chol_s.T, (z / norms).T, lower=False).T
 
 
 def _trajectory_from_paths(nodes, path, s_weight, g_weight):
@@ -159,9 +182,8 @@ def error_trajectory(x1_0, x2_0, params: FlowParameterization, grid: LambdaGrid,
     x2_0 = np.asarray(x2_0, dtype=float)
     if x1_0.shape != (prior.n,) or x2_0.shape != (prior.n,):
         raise ValueError(f"initial states must have shape {(prior.n,)}")
-    tables = _flow_error_tables(params, grid, prior, meas)
-    paths = _propagate_errors((x1_0 - x2_0)[None, :], tables, grid.dlam)
-    return _trajectory_from_paths(grid.nodes, paths[0], prior.precision,
+    phi = _transition(_flow_a(params, prior, meas), grid)
+    return _trajectory_from_paths(grid.nodes, phi @ (x1_0 - x2_0), prior.precision,
                                   meas.info_matrix)
 
 
@@ -174,10 +196,8 @@ def linear_error_trajectory(xtilde0, a_fn: Callable[[float], np.ndarray],
     """
     xtilde0 = np.asarray(xtilde0, dtype=float)
     s_weight = np.asarray(s_weight, dtype=float)
-    n = xtilde0.size
-    tables = _system_error_tables(a_fn, grid, n)
-    paths = _propagate_errors(xtilde0[None, :], tables, grid.dlam)
-    return _trajectory_from_paths(grid.nodes, paths[0], s_weight, None)
+    phi = _transition(_system_a(a_fn), grid)
+    return _trajectory_from_paths(grid.nodes, phi @ xtilde0, s_weight, None)
 
 
 def lyapunov_derivative(xtilde, lam, Q, derivs: HomotopyDerivatives) -> float:
@@ -271,6 +291,8 @@ def check_ftss(params: Optional[FlowParameterization], prior: GaussianPrior,
         )
     if n_mc < 100:
         raise ValueError(f"n_mc must be at least 100, got {n_mc}")
+    if params is None and system_a_fn is None:
+        raise ValueError("params is required unless system_a_fn is given")
     s_weight = prior.precision
     # Difference of two prior draws has covariance 2 P_g, so the expected
     # S-norm is tr(S * 2 P_g) = 2n; rescale to hit alpha exactly.
@@ -280,20 +302,9 @@ def check_ftss(params: Optional[FlowParameterization], prior: GaussianPrior,
     z = gen.standard_normal((n_mc, prior.n)) - gen.standard_normal((n_mc, prior.n))
     x0 = scale * (z @ prior.chol.T)
 
-    if system_a_fn is not None:
-        tables = _system_error_tables(system_a_fn, grid, prior.n)
-    else:
-        if params is None:
-            raise ValueError("params is required unless system_a_fn is given")
-        tables = _flow_error_tables(params, grid, prior, meas)
-    chunk = max(1, _CHUNK_BUDGET // ((grid.steps + 1) * prior.n))
-    ok_count = 0
-    for start in range(0, n_mc, chunk):
-        block = x0[start:start + chunk]
-        paths = _propagate_errors(block, tables, grid.dlam)
-        v = _quad_trace(paths, s_weight)
-        ok_count += int(np.sum(np.all(v <= beta, axis=1)))
-    empirical = ok_count / n_mc
+    a_of = _flow_a(params, prior, meas) if system_a_fn is None else _system_a(system_a_fn)
+    v = _node_quad(_transition(a_of, grid), s_weight, x0)
+    empirical = int(np.count_nonzero(np.all(v <= beta, axis=1))) / n_mc
     margin = 3.0 * np.sqrt(epsilon * (1.0 - epsilon) / n_mc)
     threshold = (1.0 - epsilon) - margin
     return FtssResult(verdict=bool(empirical >= threshold), alpha=alpha,
@@ -356,20 +367,10 @@ def ellipsoid_invariance_check(prior: GaussianPrior, meas: LinearMeasurement,
         raise ValueError(f"n_particles must be >= 0, got {n_particles}")
     if n_particles == 0:
         return 0.0
-    gen = make_generator(seed, ELLIPSOID_STREAM)
-    z = gen.standard_normal((n_particles, prior.n))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("degenerate direction draw")
-    y = z / norms
-    chol_s = np.linalg.cholesky(prior.precision)
-    x0 = solve_triangular(chol_s.T, y.T, lower=False).T
-
-    tables = _flow_error_tables(exact_flow(), grid, prior, meas)
-    paths = _propagate_errors(x0, tables, grid.dlam)
-    u = _quad_trace(paths, prior.precision)
-    w = _quad_trace(paths, meas.info_matrix)
-    v_m = u + grid.nodes[None, :] * w
+    x0 = _ellipsoid_points(n_particles, prior.precision, seed)
+    phi = _transition(_flow_a(exact_flow(), prior, meas), grid)
+    m_stack = prior.precision + grid.nodes[:, None, None] * meas.info_matrix
+    v_m = _node_quad(phi, m_stack, x0)
     return float(np.abs(v_m - 1.0).max())
 
 
@@ -399,15 +400,11 @@ def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
     else:
         beta_c = 0.75 * alpha
     s_weight = prior.precision
+    x0 = _ellipsoid_points(n_directions, s_weight, seed) * np.sqrt(0.999 * alpha)
 
     def deterministic_verdicts(g: LambdaGrid):
-        gen = make_generator(seed, ELLIPSOID_STREAM)
-        z = gen.standard_normal((n_directions, prior.n))
-        y = z / np.linalg.norm(z, axis=1, keepdims=True)
-        chol_s = np.linalg.cholesky(s_weight)
-        x0 = solve_triangular(chol_s.T, y.T, lower=False).T * np.sqrt(0.999 * alpha)
-        tables = _flow_error_tables(params, g, prior, meas)
-        paths = _propagate_errors(x0, tables, g.dlam)
+        phi = _transition(_flow_a(params, prior, meas), g)
+        paths = np.einsum("kij,pj->pki", phi, x0)
         fts_ok = True
         ftcs_ok = True
         lambda1 = None
@@ -422,11 +419,12 @@ def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
                 lambda1 = res.lambda1 if lambda1 is None else max(lambda1, res.lambda1)
         return bool(fts_ok), bool(ftcs_ok), lambda1
 
+    fine = _refine(grid)
     fts_ok, ftcs_ok, lambda1 = deterministic_verdicts(grid)
-    fts_ok2, ftcs_ok2, _ = deterministic_verdicts(_refine(grid))
+    fts_ok2, ftcs_ok2, _ = deterministic_verdicts(fine)
     ftss = check_ftss(params, prior, meas, grid, alpha, beta_ss, epsilon,
                       n_mc, seed)
-    ftss2 = check_ftss(params, prior, meas, _refine(grid), alpha, beta_ss,
+    ftss2 = check_ftss(params, prior, meas, fine, alpha, beta_ss,
                        epsilon, n_mc, seed)
     if (fts_ok, ftcs_ok, ftss.verdict) != (fts_ok2, ftcs_ok2, ftss2.verdict):
         raise RuntimeError(

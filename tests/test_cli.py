@@ -9,11 +9,12 @@ from flowfilt.cli import (
     EXIT_DIVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
+    _fail,
     main,
     parse_config,
     run,
 )
-from flowfilt.errors import ConfigError
+from flowfilt.errors import AdmissibilityError, ConfigError
 
 
 def _write(tmp_path, name, payload):
@@ -137,6 +138,16 @@ def test_run_exit_code_admissibility(tmp_path, capsys):
                         flow={"flow": "constant_q", "Q0": [[-1.0]]})
     assert run(path) == EXIT_ADMISSIBILITY
     record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "AdmissibilityError"
+    # Q0 is rejected before any lam is evaluated.
+    assert record["lam"] is None
+
+
+def test_admissibility_error_json_names_lam(tmp_path, capsys):
+    assert _fail(EXIT_ADMISSIBILITY, AdmissibilityError("bad", lam=0.25),
+                 tmp_path) == EXIT_ADMISSIBILITY
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["lam"] == 0.25
     assert record["error"] == "AdmissibilityError"
 
 

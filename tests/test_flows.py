@@ -15,7 +15,7 @@ from flowfilt import (
     preset,
     q_from_k,
 )
-from flowfilt.flows import PRESET_KINDS
+from flowfilt.flows import PRESET_KINDS, k_schedule
 
 
 def _derivs(prior, meas, lam=0.5, x=None):
@@ -172,8 +172,20 @@ def test_gain_term_shifts_leave_diffusion_invariant(make_model):
 
 def test_preset_rejects_inadmissible_schedule(canonical):
     prior, meas = canonical
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(AdmissibilityError) as info:
         preset("k_schedule", prior, meas, k_fn=lambda lam: np.array([[-1.0]]))
+    # K + K^T + H^T R^-1 H = -1 at every node, so the first node fails.
+    assert info.value.lam == 0.0
+
+
+def test_affine_tables_names_the_first_inadmissible_lam(canonical):
+    prior, meas = canonical
+    # K + K^T + 1 = 1 - 4 lam turns negative past lam = 1/4.
+    flow = k_schedule(lambda lam: np.array([[-2.0 * lam]]))
+    lambdas = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(AdmissibilityError, match="lam=0.300000") as info:
+        affine_tables(flow, prior, meas, lambdas)
+    assert info.value.lam == lambdas[3]
 
 
 def test_preset_rejects_indefinite_constant_q(canonical):

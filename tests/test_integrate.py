@@ -116,6 +116,32 @@ def test_ensemble_output_depends_only_on_slot(make_model):
     assert np.array_equal(out_base.particles[1], out_shuf.particles[1])
 
 
+def test_zero_diffusion_ensemble_draws_no_noise(monkeypatch, make_model):
+    rng = np.random.default_rng(22)
+    prior, meas = make_model(rng, 3, 2)
+    params = preset("exact", prior, meas)
+    grid = LambdaGrid.uniform(40)  # Euler grid, so the EM kernel runs
+    ens = sample_prior(9, prior, seed=31)
+    calls = []
+    normals = NoiseStream.normals
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.stream_id)
+        return normals(self, *args, **kwargs)
+
+    monkeypatch.setattr(NoiseStream, "normals", counting)
+    out = propagate_ensemble(ens, params, grid, prior, meas)
+    assert calls == []
+    monkeypatch.undo()
+    tables = build_tables(params, grid, prior, meas)
+    assert tables.m_max == 0
+    for i in range(9):
+        solo = propagate_particle(ens.particles[i], params, grid,
+                                  NoiseStream(31, i), prior, meas,
+                                  tables=tables)
+        assert out.particles[i].tobytes() == solo.terminal.tobytes()
+
+
 def test_chunked_and_unchunked_ensembles_agree(monkeypatch, canonical):
     prior, meas = canonical
     params = preset("fixed_q", prior, meas)

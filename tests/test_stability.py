@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from flowfilt import kernels, stability
 from flowfilt import (
     AdmissibilityError,
     LambdaGrid,
@@ -233,3 +236,55 @@ def test_error_trajectory_rejects_wrong_shapes(canonical):
     params = preset("exact", prior, meas)
     with pytest.raises(ValueError, match="shape"):
         error_trajectory(np.zeros(2), np.zeros(1), params, GRID, prior, meas)
+
+
+def test_transition_matrices_match_direct_propagation():
+    rng = np.random.default_rng(54)
+    coeffs = rng.standard_normal((3, 3, 3))
+    grid = LambdaGrid.uniform(50)
+
+    def a_of(lams):
+        return coeffs[0] + lams[:, None, None] * coeffs[1] + np.sin(
+            3.0 * lams)[:, None, None] * coeffs[2]
+
+    phi = stability._transition(a_of, grid)
+    assert phi.shape == (51, 3, 3)
+    assert np.array_equal(phi[0], np.eye(3))
+    block = rng.standard_normal((5, 3))
+    _, paths, code, _, _ = kernels.rk4_propagate(
+        block, a_of(grid.nodes), np.zeros((51, 3)), a_of(grid.midpoints),
+        np.zeros((50, 3)), grid.dlam, record=True)
+    assert code == 0
+    via_phi = np.einsum("kij,pj->pki", phi, block)
+    assert_allclose(via_phi, paths, rtol=1e-12,
+                    atol=1e-12 * np.abs(paths).max())
+
+
+def test_linear_error_trajectory_names_the_lam_where_phi_leaves_the_range():
+    grid = LambdaGrid.uniform(999)  # 1000 nodes
+    # Phi = exp(40 lam) I passes the 1e12 state limit past ln(1e12) / 40.
+    first = grid.nodes[np.argmax(40.0 * grid.nodes > np.log(1e12))]
+    assert 0.69 < first < 0.693
+    with pytest.raises(AdmissibilityError, match="trusted range") as info:
+        linear_error_trajectory(np.array([1e-6, 0.0]),
+                                lambda lam: 40.0 * np.eye(2), grid, np.eye(2))
+    assert info.value.lam == first
+    assert f"lam {first:.6g}" in str(info.value)
+
+
+def test_check_ftss_does_not_hold_the_monte_carlo_paths(make_model):
+    rng = np.random.default_rng(55)
+    prior, meas = make_model(rng, 4, 2)
+    params = preset("fixed_q", prior, meas)
+    grid = LambdaGrid.uniform(1000)
+    n_mc = 2000
+    tracemalloc.start()
+    try:
+        res = check_ftss(params, prior, meas, grid, alpha=1.0, beta=4.0,
+                         epsilon=0.25, n_mc=n_mc, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.verdict
+    # The recorded (n_mc, steps+1, n) paths alone would take 64 MB.
+    assert peak < 2 * n_mc * (grid.steps + 1) * 8
