@@ -358,6 +358,8 @@ def _fail(code: int, exc: Exception, outdir) -> int:
         record["particle"] = exc.particle
     if isinstance(exc, (AdmissibilityError, DivergenceError)):
         record["lam"] = exc.lam
+    if isinstance(exc, AdmissibilityError):
+        record["margin"] = exc.margin
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
     if outdir is not None and Path(outdir).is_dir():
         io.write_json(Path(outdir) / "error.json", record)

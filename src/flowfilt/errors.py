@@ -12,11 +12,15 @@ class AdmissibilityError(ValueError):
 
     Attributes:
         lam: lam value of the first failing node (None when unknown).
+        margin: smallest eigenvalue of the failing test matrix divided by
+            its largest eigenvalue magnitude (None when no positivity
+            test failed).
     """
 
-    def __init__(self, message, lam=None):
+    def __init__(self, message, lam=None, margin=None):
         super().__init__(message)
         self.lam = None if lam is None else float(lam)
+        self.margin = None if margin is None else float(margin)
 
 
 class DivergenceError(RuntimeError):

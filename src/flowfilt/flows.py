@@ -44,13 +44,19 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _first_indefinite(t: np.ndarray) -> int:
-    """Index of the first matrix of ``t`` (one matrix or a stack) that is
-    not positive semidefinite up to a scaled eigenvalue tolerance, or -1."""
+def _first_indefinite(t: np.ndarray) -> tuple[int, Optional[float]]:
+    """First matrix of ``t`` (one matrix or a stack) that is not positive
+    semidefinite up to a scaled eigenvalue tolerance, as ``(index, margin)``
+    with margin its smallest eigenvalue over its largest magnitude;
+    ``(-1, None)`` when every matrix passes."""
     w = np.linalg.eigvalsh(_sym(t).reshape(-1, *t.shape[-2:]))
     scale = np.maximum(np.abs(w).max(axis=1), 1e-300)
-    bad = np.nonzero(w.min(axis=1) < -_ADMISSIBILITY_TOL * scale)[0]
-    return int(bad[0]) if bad.size else -1
+    w_min = w.min(axis=1)
+    bad = np.nonzero(w_min < -_ADMISSIBILITY_TOL * scale)[0]
+    if not bad.size:
+        return -1, None
+    i = int(bad[0])
+    return i, float(w_min[i] / scale[i])
 
 
 def is_admissible(K, derivs: HomotopyDerivatives) -> bool:
@@ -63,7 +69,7 @@ def is_admissible(K, derivs: HomotopyDerivatives) -> bool:
     n = derivs.M.shape[0]
     if K.shape != (n, n):
         raise ValueError(f"K must have shape {(n, n)}, got {K.shape}")
-    return _first_indefinite(K + K.T - derivs.hess_log_h) < 0
+    return _first_indefinite(K + K.T - derivs.hess_log_h)[0] < 0
 
 
 def q_from_k(K, derivs: HomotopyDerivatives) -> np.ndarray:
@@ -83,8 +89,9 @@ def k_from_q(Q, derivs: HomotopyDerivatives) -> np.ndarray:
         raise ValueError(f"Q must have shape {(n, n)}, got {Q.shape}")
     if np.abs(Q - Q.T).max() > 1e-12 * max(np.abs(Q).max(), 1e-300):
         raise AdmissibilityError("Q must be symmetric")
-    if _first_indefinite(Q) >= 0:
-        raise AdmissibilityError("Q must be positive semidefinite")
+    bad, margin = _first_indefinite(Q)
+    if bad >= 0:
+        raise AdmissibilityError("Q must be positive semidefinite", margin=margin)
     return 0.5 * (derivs.M @ Q @ derivs.M) + 0.5 * derivs.hess_log_h
 
 
@@ -156,21 +163,26 @@ class FlowParameterization:
         """
         lambdas = np.linspace(0.0, 1.0, grid_points)
         ks = self.k_stack(lambdas, prior, meas)
-        bad = _first_indefinite(ks + np.swapaxes(ks, 1, 2) + meas.info_matrix)
+        bad, margin = _first_indefinite(ks + np.swapaxes(ks, 1, 2) + meas.info_matrix)
         if bad >= 0:
             raise AdmissibilityError(
                 f"flow {self.kind!r} is inadmissible at lam={lambdas[bad]:.4f}",
-                lam=lambdas[bad])
-        bad = _first_indefinite(self.q_stack(lambdas, prior, meas))
+                lam=lambdas[bad], margin=margin)
+        bad, margin = _first_indefinite(self.q_stack(lambdas, prior, meas))
         if bad >= 0:
             raise AdmissibilityError(
                 f"flow {self.kind!r} has an indefinite diffusion at lam={lambdas[bad]:.4f}",
-                lam=lambdas[bad])
+                lam=lambdas[bad], margin=margin)
         probe = lambdas[[grid_points // 2]]
         k1 = self.k_stack(probe, prior, meas)
         k2 = self.k_stack(probe, prior, meas)
         if not np.array_equal(k1, k2):
             raise ValueError(f"flow {self.kind!r} schedule is not deterministic")
+
+
+def _check_lambdas(lambdas: np.ndarray) -> None:
+    if lambdas.size and (lambdas.min() < 0.0 or lambdas.max() > 1.0):
+        raise ValueError("lam values must lie in [0, 1]")
 
 
 def _m_stack(lambdas: np.ndarray, prior: GaussianPrior, meas: LinearMeasurement) -> np.ndarray:
@@ -190,18 +202,17 @@ def affine_tables(params: FlowParameterization, prior: GaussianPrior,
     construction).
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    if lambdas.size and (lambdas.min() < 0.0 or lambdas.max() > 1.0):
-        raise ValueError("lam values must lie in [0, 1]")
+    _check_lambdas(lambdas)
     g_info = meas.info_matrix
     m_stack = _m_stack(lambdas, prior, meas)
     ks = params.k_stack(lambdas, prior, meas)
 
     if not params.analytic_admissible:
-        bad = _first_indefinite(ks + np.swapaxes(ks, 1, 2) + g_info)
+        bad, margin = _first_indefinite(ks + np.swapaxes(ks, 1, 2) + g_info)
         if bad >= 0:
             raise AdmissibilityError(
                 f"flow {params.kind!r} is inadmissible at lam={lambdas[bad]:.6f}",
-                lam=lambdas[bad])
+                lam=lambdas[bad], margin=margin)
 
     a_stack = -np.linalg.solve(m_stack, g_info[None, :, :] + ks)
 
@@ -230,10 +241,11 @@ def affine_coefficients(lam, params: FlowParameterization, prior: GaussianPrior,
     return AffineFlowCoefficients(lam=lam, A=a[0], b=b[0], Q=q[0])
 
 
-def _exact_a1(lam: float, hph: np.ndarray, prior: GaussianPrior,
+def _exact_a1(lambdas: np.ndarray, prior: GaussianPrior,
               meas: LinearMeasurement) -> np.ndarray:
-    """``A1`` of the zero-diffusion flow, given ``hph = H P_g H^T``."""
-    gram = lam * hph + meas.R
+    """``A1`` of the zero-diffusion flow at every lam, (L, n, n): one
+    batched solve over the stack of ``lam H P_g H^T + R``."""
+    gram = lambdas[:, None, None] * (meas.H @ prior.P_g @ meas.H.T) + meas.R
     return -0.5 * prior.P_g @ (meas.H.T @ np.linalg.solve(gram, meas.H))
 
 
@@ -246,7 +258,7 @@ def exact_flow_coefficients(lam, prior: GaussianPrior,
     """
     lam = _check_lambda(lam)
     n = prior.n
-    a1 = _exact_a1(lam, meas.H @ prior.P_g @ meas.H.T, prior, meas)
+    a1 = _exact_a1(np.array([lam]), prior, meas)[0]
     eye = np.eye(n)
     core = (eye + lam * a1) @ (prior.P_g @ meas.info_vector) + a1 @ prior.x_prior
     b1 = (eye + 2.0 * lam * a1) @ core
@@ -271,8 +283,8 @@ def diffusion_factor(Q) -> np.ndarray:
         return np.zeros((Q.shape[0], 0))
     if w.min() < -_INDEFINITE_TOL * scale:
         raise AdmissibilityError(
-            f"diffusion is indefinite: min eigenvalue {w.min():.3e} of scale {scale:.3e}"
-        )
+            f"diffusion is indefinite: min eigenvalue {w.min():.3e} of scale {scale:.3e}",
+            margin=w.min() / scale)
     w = np.maximum(w, 0.0)
     keep = w > 1e-12 * scale
     return vecs[:, keep] * np.sqrt(w[keep])
@@ -334,8 +346,9 @@ def constant_q(Q0) -> FlowParameterization:
         raise ValueError(f"Q0 must be square, got shape {q0.shape}")
     if np.abs(q0 - q0.T).max() > 1e-12 * max(np.abs(q0).max(), 1e-300):
         raise AdmissibilityError("Q0 must be symmetric")
-    if _first_indefinite(q0) >= 0:
-        raise AdmissibilityError("Q0 must be positive semidefinite")
+    bad, margin = _first_indefinite(q0)
+    if bad >= 0:
+        raise AdmissibilityError("Q0 must be positive semidefinite", margin=margin)
     q0 = _sym(q0)
 
     def k_builder(lambdas, prior, meas):
@@ -382,6 +395,11 @@ def k_schedule(fn: Callable[[float], np.ndarray],
     )
 
 
+def _reference_k(m_stack, a_stack, q_stack):
+    """Schedule ``K = (M Q + A_hat^T) M`` of a reference flow, per lam."""
+    return (m_stack @ q_stack + np.swapaxes(a_stack, 1, 2)) @ m_stack
+
+
 def reference_flow(a_hat: Callable[[float], np.ndarray],
                    q_nominal: Callable[[float], np.ndarray],
                    description: str = "reference flow") -> FlowParameterization:
@@ -394,13 +412,12 @@ def reference_flow(a_hat: Callable[[float], np.ndarray],
     """
     def k_builder(lambdas, prior, meas):
         n = prior.n
-        m_stack = _m_stack(lambdas, prior, meas)
         a_stack = np.empty((lambdas.size, n, n))
         q_stack = np.empty((lambdas.size, n, n))
         for i, lam in enumerate(lambdas):
             a_stack[i] = np.asarray(a_hat(float(lam)), dtype=float)
             q_stack[i] = np.asarray(q_nominal(float(lam)), dtype=float)
-        return (m_stack @ q_stack + np.swapaxes(a_stack, 1, 2)) @ m_stack
+        return _reference_k(_m_stack(lambdas, prior, meas), a_stack, q_stack)
 
     return FlowParameterization(
         kind="reference",
@@ -424,14 +441,10 @@ def diagnostic_noise(alpha: float) -> FlowParameterization:
         raise ValueError(f"alpha must be positive, got {alpha}")
 
     def k_builder(lambdas, prior, meas):
-        hph = meas.H @ prior.P_g @ meas.H.T
-
-        def a_hat(lam: float) -> np.ndarray:
-            return _exact_a1(_check_lambda(lam), hph, prior, meas)
-
-        eye = np.eye(prior.n)
-        base = reference_flow(a_hat, lambda lam: alpha * eye)
-        return base._k_builder(lambdas, prior, meas)
+        _check_lambdas(lambdas)
+        return _reference_k(_m_stack(lambdas, prior, meas),
+                            _exact_a1(lambdas, prior, meas),
+                            alpha * np.eye(prior.n))
 
     return FlowParameterization(
         kind="diagnostic",

@@ -15,6 +15,10 @@ columns, so a particle's result does not depend on the other particles
 in the block.  Noise is never generated here; callers pass precomputed
 normal draws.
 
+``_rk4_maps`` serves the deterministic linear ODEs (moments, error
+dynamics) instead: it writes one RK4 step as an affine map for every step
+at once, so callers chain small matrices instead of stepping states.
+
 Kernel return convention: ``(code, step, particle)`` where code 0 means
 success, 1 a non-finite state and 2 a norm overflow.  The reported pair
 is the lexicographically smallest (step, particle) that failed.
@@ -116,6 +120,34 @@ def _rk4(x, a_nodes, b_nodes, a_mids, b_mids, dlam, limit, paths):
         if code:
             return x, code, k, particle
     return x, 0, -1, -1
+
+
+def _rk4_maps(a_nodes, a_mids, dlam, b_nodes=None, b_mids=None):
+    """One classic RK4 step of ``y' = A y + b`` as the affine map
+    ``y -> T_k y + c_k``, for every step at once.
+
+    The stage slopes are affine in y, ``k_i = K_i y + c_i``, with
+    ``K1 = A_k``, ``K2 = A_mid (I + h/2 K1)``, ``K3 = A_mid (I + h/2 K2)``
+    and ``K4 = A_{k+1} (I + h K3)``; ``T = I + h/6 (K1 + 2 K2 + 2 K3 + K4)``.
+    Returns T (steps, n, n) and c (steps, n), or None for c without b.
+    The rounding differs from :func:`_rk4`, which applies the stages to
+    the state itself.
+    """
+    h = np.asarray(dlam, dtype=np.float64)[:, None, None]
+    eye = np.eye(a_nodes.shape[1])
+    k1 = a_nodes[:-1]
+    k2 = a_mids @ (eye + (0.5 * h) * k1)
+    k3 = a_mids @ (eye + (0.5 * h) * k2)
+    k4 = a_nodes[1:] @ (eye + h * k3)
+    t = eye + (((k1 + 2.0 * k2) + 2.0 * k3) + k4) * (h / 6.0)
+    if b_nodes is None:
+        return t, None
+    h = h[:, :, 0]
+    c1 = b_nodes[:-1]
+    c2 = (a_mids @ ((0.5 * h) * c1)[:, :, None])[:, :, 0] + b_mids
+    c3 = (a_mids @ ((0.5 * h) * c2)[:, :, None])[:, :, 0] + b_mids
+    c4 = (a_nodes[1:] @ (h * c3)[:, :, None])[:, :, 0] + b_nodes[1:]
+    return t, (((c1 + 2.0 * c2) + 2.0 * c3) + c4) * (h / 6.0)
 
 
 def _contig(a):

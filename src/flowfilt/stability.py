@@ -8,9 +8,10 @@ and ``M(lam) = S + lam H^T R^{-1} H``; along admissible flows
 rate ``sigma = min_eig(Q0) * min_eig(S)`` whenever the diffusion is
 uniformly positive definite.
 
-The ODE is linear with no offset, so its RK4 solution is linear in the
-initial error: ``xtilde_k = Phi_k xtilde_0``.  Every check propagates the
-n unit vectors once to get the transition matrices ``Phi_k`` and reads
+The ODE is linear with no offset, so one RK4 step is a linear map
+``T_k`` and the RK4 solution is ``xtilde_k = Phi_k xtilde_0`` with
+``Phi_{k+1} = T_k Phi_k``.  The maps of all steps are built in one batched
+pass and chained into the transition matrices ``Phi_k``; every check reads
 trajectories and Lyapunov traces (``xtilde_0^T Phi_k^T W Phi_k xtilde_0``)
 off them.  The trusted-range check therefore applies to Phi, not to each
 trajectory, whatever the size of the initial errors.
@@ -117,20 +118,24 @@ def _transition(a_of, grid: LambdaGrid) -> np.ndarray:
     """RK4 transition matrices ``Phi`` of ``dx = A(lam) x dlam``, (steps+1, n, n).
 
     ``a_of`` maps lam values to stacked A matrices; it is evaluated at the
-    nodes and at the midpoints.  Column j of ``Phi[k]`` is the state at
-    node k of the run started from the j-th unit vector.
+    nodes and at the midpoints.  Each RK4 step is the linear map ``T_k``
+    (``kernels._rk4_maps``, all steps in one batched pass), so
+    ``Phi[k+1] = T_k Phi[k]`` from ``Phi[0] = I``.  Every chained step
+    passes the kernels' trusted-range test before the next one is formed,
+    so the chain never runs on past a diverged step.
     """
-    a_nodes = a_of(grid.nodes)
-    n = a_nodes.shape[1]
-    _, paths, code, step, _ = kernels.rk4_propagate(
-        np.eye(n), a_nodes, np.zeros((grid.steps + 1, n)), a_of(grid.midpoints),
-        np.zeros((grid.steps, n)), grid.dlam, record=True)
-    if code:
-        lam = grid.nodes[step + 1]
-        raise AdmissibilityError(
-            f"error dynamics left the trusted range at step {step}, lam {lam:.6g}",
-            lam=lam)
-    return np.ascontiguousarray(paths.transpose(1, 2, 0))
+    t, _ = kernels._rk4_maps(a_of(grid.nodes), a_of(grid.midpoints), grid.dlam)
+    phi = np.empty((grid.steps + 1, *t.shape[1:]))
+    phi[0] = np.eye(t.shape[1])
+    rows = list(phi)  # views made once: indexing per step costs more than the matmul
+    for k, t_k in enumerate(t):
+        if kernels._first_bad(np.matmul(t_k, rows[k], out=rows[k + 1]),
+                              kernels.STATE_LIMIT)[0]:
+            lam = grid.nodes[k + 1]
+            raise AdmissibilityError(
+                f"error dynamics left the trusted range at step {k}, lam {lam:.6g}",
+                lam=lam)
+    return phi
 
 
 def _node_quad(phi: np.ndarray, weight: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -249,14 +254,11 @@ def check_ftcs(traj: ErrorTrajectory, alpha: float, beta: float, gamma: float,
     if not np.all(v < gamma):
         return FtcsResult(verdict=False, alpha=alpha, beta=beta, gamma=gamma,
                           lambda1=None)
-    nodes = traj.nodes
-    below = v < beta
-    lambda1 = None
-    # Scan interior nodes for the earliest lam after which the bound holds.
-    for j in range(1, nodes.size - 1):
-        if below[j:].all():
-            lambda1 = float(nodes[j])
-            break
+    # holds[j]: the bound holds from node j through lam 1.  lambda1 is the
+    # earliest interior such node.
+    holds = np.logical_and.accumulate((v < beta)[::-1])[::-1]
+    entry = np.flatnonzero(holds[1:-1])
+    lambda1 = float(traj.nodes[entry[0] + 1]) if entry.size else None
     return FtcsResult(verdict=lambda1 is not None, alpha=alpha, beta=beta,
                       gamma=gamma, lambda1=lambda1)
 

@@ -141,6 +141,8 @@ def test_run_exit_code_admissibility(tmp_path, capsys):
     assert record["error"] == "AdmissibilityError"
     # Q0 is rejected before any lam is evaluated.
     assert record["lam"] is None
+    # Its only eigenvalue is -1, so the margin is -1 / |-1|.
+    assert record["margin"] == -1.0
 
 
 def test_admissibility_error_json_names_lam(tmp_path, capsys):
@@ -148,6 +150,7 @@ def test_admissibility_error_json_names_lam(tmp_path, capsys):
                  tmp_path) == EXIT_ADMISSIBILITY
     record = json.loads((tmp_path / "error.json").read_text())
     assert record["lam"] == 0.25
+    assert record["margin"] is None
     assert record["error"] == "AdmissibilityError"
 
 

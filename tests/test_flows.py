@@ -4,6 +4,8 @@ from numpy.testing import assert_allclose
 
 from flowfilt import (
     AdmissibilityError,
+    GaussianPrior,
+    LinearMeasurement,
     affine_coefficients,
     affine_tables,
     diffusion_factor,
@@ -15,7 +17,7 @@ from flowfilt import (
     preset,
     q_from_k,
 )
-from flowfilt.flows import PRESET_KINDS, k_schedule
+from flowfilt.flows import PRESET_KINDS, constant_q, diagnostic_noise, k_schedule
 
 
 def _derivs(prior, meas, lam=0.5, x=None):
@@ -132,6 +134,36 @@ def test_diagnostic_preset_holds_no_model_state(make_model):
     assert_allclose(moved[2], np.broadcast_to(np.eye(3), (11, 3, 3)), atol=1e-10)
 
 
+def test_diagnostic_diffusion_is_two_alpha_on_every_model(make_model):
+    rng = np.random.default_rng(18)
+    prior_a, meas_a = make_model(rng, 3, 2)
+    flow = preset("diagnostic", prior_a, meas_a, alpha=0.7)
+    lams = np.linspace(0.0, 1.0, 21)
+    # Admissible by construction: K + K^T + H^T R^-1 H = 2 alpha M^2 on
+    # whichever model the schedule meets, so Q = 2 alpha I.
+    for n, d in [(3, 1), (4, 2)]:
+        prior, meas = make_model(rng, n, d)
+        q = flow.q_stack(lams, prior, meas)
+        assert np.abs(q - 1.4 * np.eye(n)).max() <= 1e-10 * 1.4
+
+
+def test_diagnostic_schedule_matches_the_per_lam_formula(make_model):
+    rng = np.random.default_rng(19)
+    alpha = 0.7
+    flow = diagnostic_noise(alpha)
+    lams = np.linspace(0.0, 1.0, 21)
+    for n, d in [(1, 1), (3, 2), (4, 2)]:
+        prior, meas = make_model(rng, n, d)
+        hph = meas.H @ prior.P_g @ meas.H.T
+        want = []
+        for lam in lams:
+            m = prior.precision + lam * meas.info_matrix
+            gram = lam * hph + meas.R
+            a1 = -0.5 * prior.P_g @ (meas.H.T @ np.linalg.solve(gram, meas.H))
+            want.append((m @ (alpha * np.eye(n)) + a1.T) @ m)
+        assert np.array_equal(flow.k_stack(lams, prior, meas), np.array(want))
+
+
 def test_constant_q_round_trips_through_schedule(make_model):
     rng = np.random.default_rng(13)
     prior, meas = make_model(rng, 3, 2)
@@ -186,6 +218,34 @@ def test_affine_tables_names_the_first_inadmissible_lam(canonical):
     with pytest.raises(AdmissibilityError, match="lam=0.300000") as info:
         affine_tables(flow, prior, meas, lambdas)
     assert info.value.lam == lambdas[3]
+
+
+def test_positivity_failures_carry_the_margin():
+    prior = GaussianPrior(np.zeros(2), np.eye(2))
+    meas = LinearMeasurement(np.eye(2), np.eye(2), np.zeros(2))
+    # K + K^T + H^T R^-1 H = diag(-1, 3): margin -1/3 at every node.
+    flow = k_schedule(lambda lam: np.diag([-1.0, 1.0]))
+    with pytest.raises(AdmissibilityError) as info:
+        affine_tables(flow, prior, meas, np.linspace(0.0, 1.0, 5))
+    assert info.value.margin == pytest.approx(-1.0 / 3.0, rel=1e-12)
+    with pytest.raises(AdmissibilityError) as info:
+        preset("k_schedule", prior, meas, k_fn=lambda lam: np.diag([-1.0, 1.0]))
+    assert info.value.margin == pytest.approx(-1.0 / 3.0, rel=1e-12)
+
+    indefinite = np.diag([4.0, -1.0])
+    with pytest.raises(AdmissibilityError) as info:
+        k_from_q(indefinite, _derivs(prior, meas))
+    assert info.value.margin == pytest.approx(-0.25, rel=1e-12)
+    with pytest.raises(AdmissibilityError) as info:
+        constant_q(indefinite)
+    assert info.value.margin == pytest.approx(-0.25, rel=1e-12)
+    with pytest.raises(AdmissibilityError) as info:
+        diffusion_factor(indefinite)
+    assert info.value.margin == pytest.approx(-0.25, rel=1e-12)
+    # A failure that is not a positivity test has no margin.
+    with pytest.raises(AdmissibilityError) as info:
+        constant_q(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert info.value.margin is None
 
 
 def test_preset_rejects_indefinite_constant_q(canonical):

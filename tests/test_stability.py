@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -120,6 +121,27 @@ def test_check_ftcs_verdicts(canonical):
         check_ftcs(traj, alpha=1.0, beta=1.5, gamma=2.0, s_weight=s)
     with pytest.raises(ValueError, match="beta"):
         check_ftcs(traj, alpha=1.0, beta=0.6, gamma=0.8, s_weight=s)
+
+
+def test_check_ftcs_lambda1_is_the_earliest_interior_entry():
+    rng = np.random.default_rng(56)
+    nodes = np.linspace(0.0, 1.0, 41)
+    s = np.eye(1)
+    for _ in range(200):
+        v = rng.uniform(0.0, 0.9, nodes.size)
+        v[: rng.integers(0, nodes.size + 1)] += rng.uniform(0.0, 1.0)
+        traj = stability.ErrorTrajectory(nodes=nodes, errors=np.sqrt(v)[:, None],
+                                         v_m=v, v_s=v)
+        res = check_ftcs(traj, alpha=1.0, beta=0.6, gamma=2.0, s_weight=s)
+        w = np.einsum("ki,ij,kj->k", traj.errors, s, traj.errors)
+        want = None
+        if w[0] < 1.0:
+            for j in range(1, nodes.size - 1):
+                if (w[j:] < 0.6).all():
+                    want = float(nodes[j])
+                    break
+        assert res.lambda1 == want
+        assert res.verdict == (w[0] >= 1.0 or want is not None)
 
 
 def test_check_ftss_stable_flow(canonical):
@@ -270,6 +292,33 @@ def test_linear_error_trajectory_names_the_lam_where_phi_leaves_the_range():
                                 lambda lam: 40.0 * np.eye(2), grid, np.eye(2))
     assert info.value.lam == first
     assert f"lam {first:.6g}" in str(info.value)
+
+
+def test_transition_stops_at_the_first_step_past_the_trusted_range():
+    grid = LambdaGrid.uniform(999)
+    # One RK4 step of A = 1e4 I multiplies Phi by about 644, so step 4
+    # takes it past 1e12.  Chaining on would overflow into a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdmissibilityError, match="step 4, lam 0.00500501") as info:
+            linear_error_trajectory(np.array([1.0, 0.0]),
+                                    lambda lam: 1e4 * np.eye(2), grid, np.eye(2))
+    assert info.value.lam == grid.nodes[5]
+    assert info.value.margin is None
+
+
+def test_transition_names_the_first_step_that_reads_a_nan_drift():
+    grid = LambdaGrid.uniform(100)
+
+    def a_fn(lam):
+        return np.full((2, 2), np.nan) if lam >= 0.503 else -np.eye(2)
+
+    # Step 50 is the first to read A past 0.503: at its midpoint 0.505.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AdmissibilityError, match="step 50, lam 0.51") as info:
+            linear_error_trajectory(np.ones(2), a_fn, grid, np.eye(2))
+    assert info.value.lam == grid.nodes[51]
 
 
 def test_check_ftss_does_not_hold_the_monte_carlo_paths(make_model):
