@@ -181,7 +181,8 @@ class FlowParameterization:
 
 
 def _check_lambdas(lambdas: np.ndarray) -> None:
-    if lambdas.size and (lambdas.min() < 0.0 or lambdas.max() > 1.0):
+    # Written so that NaN fails it too.
+    if not ((lambdas >= 0.0) & (lambdas <= 1.0)).all():
         raise ValueError("lam values must lie in [0, 1]")
 
 
@@ -244,9 +245,11 @@ def affine_coefficients(lam, params: FlowParameterization, prior: GaussianPrior,
 def _exact_a1(lambdas: np.ndarray, prior: GaussianPrior,
               meas: LinearMeasurement) -> np.ndarray:
     """``A1`` of the zero-diffusion flow at every lam, (L, n, n): one
-    batched solve over the stack of ``lam H P_g H^T + R``."""
+    batched solve over the stack of ``lam H P_g H^T + R``.  The right-hand
+    side is a (1, d, n) stack: numpy 1.x reads a 2-D ``b`` next to a 3-D
+    ``a`` as a stack of vectors."""
     gram = lambdas[:, None, None] * (meas.H @ prior.P_g @ meas.H.T) + meas.R
-    return -0.5 * prior.P_g @ (meas.H.T @ np.linalg.solve(gram, meas.H))
+    return -0.5 * prior.P_g @ (meas.H.T @ np.linalg.solve(gram, meas.H[None]))
 
 
 def exact_flow_coefficients(lam, prior: GaussianPrior,

@@ -132,22 +132,27 @@ def _rk4_maps(a_nodes, a_mids, dlam, b_nodes=None, b_mids=None):
     Returns T (steps, n, n) and c (steps, n), or None for c without b.
     The rounding differs from :func:`_rk4`, which applies the stages to
     the state itself.
+
+    Overflow is silent here: a step past the one where the caller's chain
+    stops may overflow, and the caller's finiteness check catches any
+    non-finite map that it does use.
     """
     h = np.asarray(dlam, dtype=np.float64)[:, None, None]
     eye = np.eye(a_nodes.shape[1])
-    k1 = a_nodes[:-1]
-    k2 = a_mids @ (eye + (0.5 * h) * k1)
-    k3 = a_mids @ (eye + (0.5 * h) * k2)
-    k4 = a_nodes[1:] @ (eye + h * k3)
-    t = eye + (((k1 + 2.0 * k2) + 2.0 * k3) + k4) * (h / 6.0)
-    if b_nodes is None:
-        return t, None
-    h = h[:, :, 0]
-    c1 = b_nodes[:-1]
-    c2 = (a_mids @ ((0.5 * h) * c1)[:, :, None])[:, :, 0] + b_mids
-    c3 = (a_mids @ ((0.5 * h) * c2)[:, :, None])[:, :, 0] + b_mids
-    c4 = (a_nodes[1:] @ (h * c3)[:, :, None])[:, :, 0] + b_nodes[1:]
-    return t, (((c1 + 2.0 * c2) + 2.0 * c3) + c4) * (h / 6.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = a_nodes[:-1]
+        k2 = a_mids @ (eye + (0.5 * h) * k1)
+        k3 = a_mids @ (eye + (0.5 * h) * k2)
+        k4 = a_nodes[1:] @ (eye + h * k3)
+        t = eye + (((k1 + 2.0 * k2) + 2.0 * k3) + k4) * (h / 6.0)
+        if b_nodes is None:
+            return t, None
+        h = h[:, :, 0]
+        c1 = b_nodes[:-1]
+        c2 = (a_mids @ ((0.5 * h) * c1)[:, :, None])[:, :, 0] + b_mids
+        c3 = (a_mids @ ((0.5 * h) * c2)[:, :, None])[:, :, 0] + b_mids
+        c4 = (a_nodes[1:] @ (h * c3)[:, :, None])[:, :, 0] + b_nodes[1:]
+        return t, (((c1 + 2.0 * c2) + 2.0 * c3) + c4) * (h / 6.0)
 
 
 def _contig(a):

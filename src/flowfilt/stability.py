@@ -122,19 +122,21 @@ def _transition(a_of, grid: LambdaGrid) -> np.ndarray:
     (``kernels._rk4_maps``, all steps in one batched pass), so
     ``Phi[k+1] = T_k Phi[k]`` from ``Phi[0] = I``.  Every chained step
     passes the kernels' trusted-range test before the next one is formed,
-    so the chain never runs on past a diverged step.
+    so the chain never runs on past a diverged step.  A step that
+    overflows is reported by that test, not by a floating-point warning.
     """
     t, _ = kernels._rk4_maps(a_of(grid.nodes), a_of(grid.midpoints), grid.dlam)
     phi = np.empty((grid.steps + 1, *t.shape[1:]))
     phi[0] = np.eye(t.shape[1])
     rows = list(phi)  # views made once: indexing per step costs more than the matmul
-    for k, t_k in enumerate(t):
-        if kernels._first_bad(np.matmul(t_k, rows[k], out=rows[k + 1]),
-                              kernels.STATE_LIMIT)[0]:
-            lam = grid.nodes[k + 1]
-            raise AdmissibilityError(
-                f"error dynamics left the trusted range at step {k}, lam {lam:.6g}",
-                lam=lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t_k in enumerate(t):
+            if kernels._first_bad(np.matmul(t_k, rows[k], out=rows[k + 1]),
+                                  kernels.STATE_LIMIT)[0]:
+                lam = grid.nodes[k + 1]
+                raise AdmissibilityError(
+                    f"error dynamics left the trusted range at step {k}, lam {lam:.6g}",
+                    lam=lam)
     return phi
 
 

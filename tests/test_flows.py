@@ -289,6 +289,14 @@ def test_affine_tables_rejects_lam_outside_unit_interval(canonical):
         affine_tables(params, prior, meas, np.array([0.0, 1.2]))
 
 
+def test_nan_lam_is_rejected(canonical):
+    prior, meas = canonical
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        diagnostic_noise(1.0).k_stack(np.array([np.nan]), prior, meas)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        affine_tables(preset("exact", prior, meas), prior, meas, np.array([0.5, np.nan]))
+
+
 def test_diffusion_factor_ranks():
     rng = np.random.default_rng(15)
     c = rng.standard_normal((3, 2))

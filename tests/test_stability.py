@@ -307,6 +307,23 @@ def test_transition_stops_at_the_first_step_past_the_trusted_range():
     assert info.value.margin is None
 
 
+def test_transition_overflow_is_reported_as_the_diverged_step():
+    grid = LambdaGrid.uniform(999)
+    cases = [
+        # The RK4 map of step 0 already overflows.
+        (lambda lam: 1e200 * lam * np.eye(2), "step 0, lam 0.001001", 1),
+        # The chain stops at step 4; the maps past lam 0.5 overflow unused.
+        (lambda lam: (1e4 + 1e200 * max(lam - 0.5, 0.0)) * np.eye(2),
+         "step 4, lam 0.00500501", 5),
+    ]
+    for a_fn, where, node in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AdmissibilityError, match=where) as info:
+                linear_error_trajectory(np.array([1.0, 0.0]), a_fn, grid, np.eye(2))
+        assert info.value.lam == grid.nodes[node]
+
+
 def test_transition_names_the_first_step_that_reads_a_nan_drift():
     grid = LambdaGrid.uniform(100)
 
