@@ -268,29 +268,51 @@ def exact_flow_coefficients(lam, prior: GaussianPrior,
     return AffineFlowCoefficients(lam=lam, A=a1, b=b1, Q=np.zeros((n, n)))
 
 
-def diffusion_factor(Q) -> np.ndarray:
+def diffusion_factor(Q, lambdas=None) -> np.ndarray:
     """Factor a symmetric PSD diffusion as ``Q = q q^T``.
 
-    Uses an eigendecomposition; eigenvalues below the noise floor are
-    clamped to zero and dropped, so the factor has shape (n, m) with m
-    the numerical rank.  A zero matrix yields shape (n, 0).
+    ``Q`` is one (n, n) matrix or an (L, n, n) stack, factored with one
+    stacked eigendecomposition.  Eigenvalues of a matrix below its noise
+    floor (``1e-12`` times its largest eigenvalue magnitude) are clamped
+    to zero and dropped, so one matrix gives shape (n, m) with m its
+    numerical rank, and a zero matrix gives (n, 0).  A stack gives
+    (L, n, m_max) with m_max the largest rank: matrix k's kept columns
+    (its top ``m_k`` eigenpairs, in ascending order) come first and the
+    rest is exactly 0.0, so ``out[k, :, :m_k]`` equals the factor of
+    ``Q[k]`` alone, bit for bit.
 
-    Raises AdmissibilityError when Q is indefinite beyond tolerance.
+    Raises AdmissibilityError when a matrix is indefinite beyond
+    tolerance, with the first failing matrix's margin; ``lambdas``, the
+    lam value of each matrix in a stack, names its lam on the error.
     """
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ValueError(f"Q must be square, got shape {Q.shape}")
-    w, vecs = np.linalg.eigh(_sym(Q))
-    scale = np.abs(w).max()
-    if scale == 0.0:
-        return np.zeros((Q.shape[0], 0))
-    if w.min() < -_INDEFINITE_TOL * scale:
+    if Q.ndim not in (2, 3) or Q.shape[-1] != Q.shape[-2]:
+        raise ValueError(f"Q must be square or a stack of square matrices, "
+                         f"got shape {Q.shape}")
+    stack = Q.reshape(-1, *Q.shape[-2:])
+    n = stack.shape[-1]
+    w, vecs = np.linalg.eigh(_sym(stack))
+    scale = np.abs(w).max(axis=1)
+    w_min = w.min(axis=1)
+    bad = np.flatnonzero(w_min < -_INDEFINITE_TOL * scale)
+    if bad.size:
+        i = int(bad[0])
+        where = "" if Q.ndim == 2 else (
+            f" at lam={lambdas[i]:.6f}" if lambdas is not None else f" at index {i}")
         raise AdmissibilityError(
-            f"diffusion is indefinite: min eigenvalue {w.min():.3e} of scale {scale:.3e}",
-            margin=w.min() / scale)
+            f"diffusion is indefinite{where}: min eigenvalue {w_min[i]:.3e} "
+            f"of scale {scale[i]:.3e}",
+            lam=None if lambdas is None else lambdas[i], margin=w_min[i] / scale[i])
     w = np.maximum(w, 0.0)
-    keep = w > 1e-12 * scale
-    return vecs[:, keep] * np.sqrt(w[keep])
+    # Eigenvalues ascend, so the kept ones of each matrix are its last rank.
+    rank = np.count_nonzero(w > 1e-12 * scale[:, None], axis=1)
+    m_max = int(rank.max(initial=0))
+    # Column j of matrix k is its eigenpair n - rank_k + j, or padding.
+    cols = np.arange(m_max)
+    src = np.minimum(n - rank[:, None] + cols, n - 1)
+    kept = np.take_along_axis(vecs * np.sqrt(w)[:, None, :], src[:, None, :], axis=2)
+    out = np.where((cols < rank[:, None])[:, None, :], kept, 0.0)
+    return out[0] if Q.ndim == 2 else out
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ def check_ftss(params: Optional[FlowParameterization], prior: GaussianPrior,
                meas: LinearMeasurement, grid: LambdaGrid, alpha: float,
                beta: float, epsilon: float, n_mc: int, seed: int,
                system_a_fn: Optional[Callable[[float], np.ndarray]] = None,
-               ) -> FtssResult:
+               *, phi: Optional[np.ndarray] = None) -> FtssResult:
     """Monte Carlo check of finite-time stochastic stability.
 
     Draws ``n_mc`` initial errors as scaled differences of prior samples
@@ -280,7 +280,9 @@ def check_ftss(params: Optional[FlowParameterization], prior: GaussianPrior,
 
     When ``system_a_fn`` is given the error dynamics come from that
     linear system instead of the flow (params may then be None), which
-    lets the checker run against known unstable dynamics.
+    lets the checker run against known unstable dynamics.  ``phi``, when
+    given, is the dynamics' transition matrices on ``grid`` (as built by
+    ``_transition``), reused instead of being built again.
 
     Requires ``alpha < beta``, ``alpha/beta <= epsilon < 1`` and
     ``n_mc >= 100``.
@@ -306,8 +308,10 @@ def check_ftss(params: Optional[FlowParameterization], prior: GaussianPrior,
     z = gen.standard_normal((n_mc, prior.n)) - gen.standard_normal((n_mc, prior.n))
     x0 = scale * (z @ prior.chol.T)
 
-    a_of = _flow_a(params, prior, meas) if system_a_fn is None else _system_a(system_a_fn)
-    v = _node_quad(_transition(a_of, grid), s_weight, x0)
+    if phi is None:
+        a_of = _flow_a(params, prior, meas) if system_a_fn is None else _system_a(system_a_fn)
+        phi = _transition(a_of, grid)
+    v = _node_quad(phi, s_weight, x0)
     empirical = int(np.count_nonzero(np.all(v <= beta, axis=1))) / n_mc
     margin = 3.0 * np.sqrt(epsilon * (1.0 - epsilon) / n_mc)
     threshold = (1.0 - epsilon) - margin
@@ -406,8 +410,7 @@ def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
     s_weight = prior.precision
     x0 = _ellipsoid_points(n_directions, s_weight, seed) * np.sqrt(0.999 * alpha)
 
-    def deterministic_verdicts(g: LambdaGrid):
-        phi = _transition(_flow_a(params, prior, meas), g)
+    def deterministic_verdicts(g: LambdaGrid, phi: np.ndarray):
         paths = np.einsum("kij,pj->pki", phi, x0)
         fts_ok = True
         ftcs_ok = True
@@ -423,13 +426,17 @@ def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
                 lambda1 = res.lambda1 if lambda1 is None else max(lambda1, res.lambda1)
         return bool(fts_ok), bool(ftcs_ok), lambda1
 
+    # Each grid's transition matrices serve both its deterministic
+    # verdicts and its Monte Carlo check.
     fine = _refine(grid)
-    fts_ok, ftcs_ok, lambda1 = deterministic_verdicts(grid)
-    fts_ok2, ftcs_ok2, _ = deterministic_verdicts(fine)
+    a_of = _flow_a(params, prior, meas)
+    phi, phi_fine = _transition(a_of, grid), _transition(a_of, fine)
+    fts_ok, ftcs_ok, lambda1 = deterministic_verdicts(grid, phi)
+    fts_ok2, ftcs_ok2, _ = deterministic_verdicts(fine, phi_fine)
     ftss = check_ftss(params, prior, meas, grid, alpha, beta_ss, epsilon,
-                      n_mc, seed)
+                      n_mc, seed, phi=phi)
     ftss2 = check_ftss(params, prior, meas, fine, alpha, beta_ss,
-                       epsilon, n_mc, seed)
+                       epsilon, n_mc, seed, phi=phi_fine)
     if (fts_ok, ftcs_ok, ftss.verdict) != (fts_ok2, ftcs_ok2, ftss2.verdict):
         raise RuntimeError(
             "stability verdicts changed under grid refinement; use a finer grid"

@@ -317,3 +317,47 @@ def test_diffusion_factor_ranks():
 def test_diffusion_factor_rejects_indefinite():
     with pytest.raises(AdmissibilityError):
         diffusion_factor(np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+def _factor_one(q):
+    """Reference: one matrix's factor from its own eigendecomposition."""
+    w, vecs = np.linalg.eigh(0.5 * (q + q.T))
+    scale = np.abs(w).max()
+    w = np.maximum(w, 0.0)
+    keep = w > 1e-12 * scale
+    return vecs[:, keep] * np.sqrt(w[keep])
+
+
+def test_stacked_diffusion_factor_matches_each_matrix_bitwise():
+    rng = np.random.default_rng(16)
+    n = 4
+    c2 = rng.standard_normal((n, 2))
+    c1 = rng.standard_normal((n, 1))
+    full = rng.standard_normal((n, n))
+    stack = np.stack([full @ full.T + np.eye(n), c2 @ c2.T, np.zeros((n, n)),
+                      c1 @ c1.T])
+    out = diffusion_factor(stack)
+    assert out.shape == (4, n, n)
+    for k, q in enumerate(stack):
+        alone = diffusion_factor(q)
+        m_k = alone.shape[1]
+        assert m_k == (n, 2, 0, 1)[k]
+        assert alone.tobytes() == _factor_one(q).tobytes()
+        assert out[k, :, :m_k].tobytes() == alone.tobytes()
+        assert np.all(out[k, :, m_k:] == 0.0)
+        assert not np.signbit(out[k, :, m_k:]).any()
+
+
+def test_stacked_diffusion_factor_of_zero_stack_is_empty():
+    assert diffusion_factor(np.zeros((5, 3, 3))).shape == (5, 3, 0)
+
+
+def test_stacked_diffusion_factor_names_first_indefinite_matrix():
+    stack = np.stack([np.eye(2), np.diag([4.0, -1.0]), np.diag([1.0, -1.0])])
+    with pytest.raises(AdmissibilityError, match="index 1") as info:
+        diffusion_factor(stack)
+    assert info.value.margin == pytest.approx(-0.25, rel=1e-12)
+    assert info.value.lam is None
+    with pytest.raises(AdmissibilityError, match="lam=0.250000") as info:
+        diffusion_factor(stack, lambdas=np.array([0.0, 0.25, 0.5]))
+    assert info.value.lam == 0.25

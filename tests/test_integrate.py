@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import flowfilt.integrate as integrate
+import flowfilt.flows as flows
 from flowfilt import (
+    AdmissibilityError,
     DivergenceError,
     GaussianPrior,
     LambdaGrid,
@@ -50,6 +52,15 @@ def test_rekeyed_generator_draws_the_fresh_stream():
     chunk = integrate._noise_chunk(11, range(4, 9), 6, 3)
     for col, stream_id in enumerate(range(4, 9)):
         assert np.array_equal(chunk[:, :, col], NoiseStream(11, stream_id).normals(6, 3))
+
+
+def test_normals_fill_the_callers_buffer():
+    buf = np.full((7, 3), np.nan)
+    got = NoiseStream(8, 5).normals(7, 3, out=buf)
+    assert got is buf
+    assert buf.tobytes() == NoiseStream(8, 5).normals(7, 3).tobytes()
+    with pytest.raises(ValueError):
+        NoiseStream(8, 5).normals(7, 2, out=buf)
 
 
 def test_single_euler_step_by_hand(canonical):
@@ -224,3 +235,48 @@ def test_propagate_particle_rejects_wrong_dimension(canonical):
     with pytest.raises(ValueError, match="shape"):
         propagate_particle(np.zeros(2), params, grid, NoiseStream(0, 0),
                            prior, meas)
+
+
+def test_indefinite_diffusion_on_the_grid_names_its_left_node(make_model):
+    prior, meas = make_model(np.random.default_rng(23), 2, 1)
+
+    def q_builder(lambdas, prior, meas):
+        # diag(1, 0.5 - lam): semidefinite up to lam 0.5, indefinite after.
+        q = np.zeros((lambdas.size, 2, 2))
+        q[:, 0, 0] = 1.0
+        q[:, 1, 1] = 0.5 - lambdas
+        return q
+
+    # Admissible "by construction", so affine_tables skips its own test and
+    # the diffusion factorisation is what catches the indefinite steps.
+    params = flows.FlowParameterization(
+        "broken", "indefinite for lam > 0.5",
+        k_builder=lambda lambdas, prior, meas: np.zeros((lambdas.size, 2, 2)),
+        q_builder=q_builder, analytic_admissible=True)
+    grid = LambdaGrid.uniform(10)
+    with pytest.raises(AdmissibilityError) as info:
+        build_tables(params, grid, prior, meas)
+    assert info.value.lam == grid.nodes[6]
+    assert info.value.margin == pytest.approx(0.5 - grid.nodes[6], rel=1e-12)
+
+
+def test_euler_tables_factor_the_diffusion_in_one_call(monkeypatch, make_model):
+    prior, meas = make_model(np.random.default_rng(24), 4, 2)
+    params = preset("fixed_q", prior, meas)
+    grid = LambdaGrid.uniform(200)
+    ens = sample_prior(5, prior, seed=3)
+    calls = {"eigh": 0, "diffusion_factor": 0}
+    eigh, factor = np.linalg.eigh, integrate.diffusion_factor
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_factor(*args, **kwargs):
+        calls["diffusion_factor"] += 1
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(integrate, "diffusion_factor", counting_factor)
+    propagate_ensemble(ens, params, grid, prior, meas)
+    assert calls == {"eigh": 1, "diffusion_factor": 1}

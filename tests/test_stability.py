@@ -253,6 +253,32 @@ def test_build_stability_report(canonical):
     assert set(payload) == {"fts", "ftcs", "ftss", "sigma", "regime"}
 
 
+def test_report_builds_each_grids_transition_once(monkeypatch, make_model):
+    prior, meas = make_model(np.random.default_rng(55), 2, 1)
+    params = preset("fixed_q", prior, meas)
+    grid = LambdaGrid.uniform(100)
+    built, ftss_phis = [], []
+    transition, ftss = stability._transition, stability.check_ftss
+
+    def counting_transition(a_of, g):
+        built.append(g.steps)
+        return transition(a_of, g)
+
+    def recording_ftss(*args, **kwargs):
+        ftss_phis.append(kwargs["phi"])
+        return ftss(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_transition", counting_transition)
+    monkeypatch.setattr(stability, "check_ftss", recording_ftss)
+    report = build_stability_report(params, prior, meas, grid, n_mc=200, seed=2)
+    assert built == [100, 200]
+    assert [phi.shape[0] for phi in ftss_phis] == [101, 201]
+    monkeypatch.undo()
+    # The shared Phi is the one check_ftss would build itself.
+    alone = check_ftss(params, prior, meas, grid, 1.0, 4.0, 0.25, 200, 2)
+    assert report.ftss == alone
+
+
 def test_error_trajectory_rejects_wrong_shapes(canonical):
     prior, meas = canonical
     params = preset("exact", prior, meas)
