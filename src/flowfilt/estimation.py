@@ -71,6 +71,7 @@ class ConsistencyTable:
     mean_errors: np.ndarray
     cov_errors: np.ndarray
     slope: float
+    mean_estimates: np.ndarray  # (sizes, seeds, n): each ensemble's mean
 
 
 def sample_prior(n_particles: int, prior: GaussianPrior, seed: int) -> ParticleEnsemble:
@@ -149,13 +150,15 @@ def consistency_sweep(params: FlowParameterization, prior: GaussianPrior,
     oracle_mean, oracle_cov = closed_form_posterior(1.0, prior, meas)
     mean_errors = np.empty(len(n_list))
     cov_errors = np.empty(len(n_list))
+    mean_estimates = np.empty((len(n_list), len(seeds), prior.n))
     for row, n in enumerate(n_list):
         acc_mean = 0.0
         acc_cov = 0.0
-        for seed in seeds:
+        for col, seed in enumerate(seeds):
             ens = sample_prior(n, prior, seed)
             ens = propagate_ensemble(ens, params, grid, prior, meas)
-            acc_mean += np.linalg.norm(mean_estimate(ens) - oracle_mean)
+            mean_estimates[row, col] = mean_estimate(ens)
+            acc_mean += np.linalg.norm(mean_estimates[row, col] - oracle_mean)
             acc_cov += np.linalg.norm(covariance_estimate(ens) - oracle_cov, ord="fro")
         mean_errors[row] = acc_mean / len(seeds)
         cov_errors[row] = acc_cov / len(seeds)
@@ -169,4 +172,5 @@ def consistency_sweep(params: FlowParameterization, prior: GaussianPrior,
         mean_errors=mean_errors,
         cov_errors=cov_errors,
         slope=slope,
+        mean_estimates=mean_estimates,
     )

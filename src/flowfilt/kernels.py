@@ -9,15 +9,16 @@ are (N, steps+1, n), filled in place after every step.
 The accumulation order is part of the contract, because ensemble row i
 must equal a single-particle run bit for bit.  Every product
 ``a @ x + b`` starts at 0.0, adds ``a[j, kk] * x[kk]`` with kk
-ascending and adds b last; the step and stage sums below keep the order
-written in their comments.  Every operation is elementwise across
-columns, so a particle's result does not depend on the other particles
-in the block.  Noise is never generated here; callers pass precomputed
-normal draws.
+ascending and adds b last; the Euler step keeps the order written in its
+comment.  Every operation is elementwise across columns, so a particle's
+result does not depend on the other particles in the block.  Noise is
+never generated here; callers pass precomputed normal draws.
 
-``_rk4_maps`` serves the deterministic linear ODEs (moments, error
-dynamics) instead: it writes one RK4 step as an affine map for every step
-at once, so callers chain small matrices instead of stepping states.
+Every drift here is affine, so one classic RK4 step of any deterministic
+solve is an affine map ``y -> T_k y + c_k``.  ``_rk4_maps`` builds the
+maps of all steps in one batched pass and is the only RK4 formula: the
+RK4 ensemble applies them to its columns, and ``_chain`` steps one
+vector or matrix through them for the moment ODEs and the error dynamics.
 
 Kernel return convention: ``(code, step, particle)`` where code 0 means
 success, 1 a non-finite state and 2 a norm overflow.  The reported pair
@@ -62,6 +63,7 @@ def _first_bad(x, limit):
     # One whole-array test per step; NaN makes the comparisons false.
     if x.max(initial=-limit) <= limit and x.min(initial=limit) >= -limit:
         return 0, -1
+    x = x.reshape(x.shape[0], -1)  # a vector is one column
     nonfinite = ~np.isfinite(x).all(axis=0)
     bad = nonfinite | (np.abs(x) > limit).any(axis=0)
     i = int(np.argmax(bad))
@@ -91,37 +93,6 @@ def _em(x, a_all, b_all, q_all, noise, dlam, limit, paths):
     return x, 0, -1, -1
 
 
-def _rk4(x, a_nodes, b_nodes, a_mids, b_mids, dlam, limit, paths):
-    k1, k2, k3, k4, xw, tmp = (np.empty_like(x) for _ in range(6))
-    for k in range(dlam.shape[0]):
-        h = dlam[k]
-        half = 0.5 * h
-        _affine(a_nodes[k], x, k1, tmp, b_nodes[k])
-        np.multiply(k1, half, out=xw)
-        xw += x
-        _affine(a_mids[k], xw, k2, tmp, b_mids[k])
-        np.multiply(k2, half, out=xw)
-        xw += x
-        _affine(a_mids[k], xw, k3, tmp, b_mids[k])
-        np.multiply(k3, h, out=xw)
-        xw += x
-        _affine(a_nodes[k + 1], xw, k4, tmp, b_nodes[k + 1])
-        # x + (((k1 + 2 k2) + 2 k3) + k4) (h / 6)
-        k2 *= 2.0
-        k2 += k1
-        k3 *= 2.0
-        k3 += k2
-        k4 += k3
-        k4 *= h / 6.0
-        x += k4
-        if paths is not None:
-            paths[:, k + 1, :] = x.T
-        code, particle = _first_bad(x, limit)
-        if code:
-            return x, code, k, particle
-    return x, 0, -1, -1
-
-
 def _rk4_maps(a_nodes, a_mids, dlam, b_nodes=None, b_mids=None):
     """One classic RK4 step of ``y' = A y + b`` as the affine map
     ``y -> T_k y + c_k``, for every step at once.
@@ -130,8 +101,6 @@ def _rk4_maps(a_nodes, a_mids, dlam, b_nodes=None, b_mids=None):
     ``K1 = A_k``, ``K2 = A_mid (I + h/2 K1)``, ``K3 = A_mid (I + h/2 K2)``
     and ``K4 = A_{k+1} (I + h K3)``; ``T = I + h/6 (K1 + 2 K2 + 2 K3 + K4)``.
     Returns T (steps, n, n) and c (steps, n), or None for c without b.
-    The rounding differs from :func:`_rk4`, which applies the stages to
-    the state itself.
 
     Overflow is silent here: a step past the one where the caller's chain
     stops may overflow, and the caller's finiteness check catches any
@@ -153,6 +122,27 @@ def _rk4_maps(a_nodes, a_mids, dlam, b_nodes=None, b_mids=None):
         c3 = (a_mids @ ((0.5 * h) * c2)[:, :, None])[:, :, 0] + b_mids
         c4 = (a_nodes[1:] @ (h * c3)[:, :, None])[:, :, 0] + b_nodes[1:]
         return t, (((c1 + 2.0 * c2) + 2.0 * c3) + c4) * (h / 6.0)
+
+
+def _chain(t, y0, c=None, limit=STATE_LIMIT):
+    """Chain ``y[k+1] = t[k] @ y[k] (+ c[k])`` from ``y[0] = y0``, a vector
+    or a matrix, one matmul per step.
+
+    Each new y passes :func:`_first_bad` before the next step is formed;
+    an overflow is reported by that test, not by a floating-point warning.
+    Returns the (steps+1, ...) stack and the first failing step, or -1.
+    """
+    y = np.empty((t.shape[0] + 1, *np.shape(y0)))
+    y[0] = y0
+    rows = list(y)  # views made once: indexing per step costs more than the matmul
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, t_k in enumerate(t):
+            np.matmul(t_k, rows[k], out=rows[k + 1])
+            if c is not None:
+                rows[k + 1] += c[k]
+            if _first_bad(rows[k + 1], limit)[0]:
+                return y, k
+    return y, -1
 
 
 def _contig(a):
@@ -200,11 +190,20 @@ def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
     """Classic fourth-order propagation for zero-diffusion flows.
 
     Shapes follow :func:`em_propagate` with drift coefficients supplied
-    at the nodes and at the step midpoints.
+    at the nodes and at the step midpoints.  Step k applies the RK4 map
+    ``x -> T_k x + c_k`` of :func:`_rk4_maps` to every column in the
+    contract's order and tests the states before the next step.
     """
     dlam = _contig(dlam)
     x, paths = _columns(x0, dlam.shape[0], record)
-    x, code, step, particle = _rk4(x, _contig(a_nodes), _contig(b_nodes),
-                                   _contig(a_mids), _contig(b_mids), dlam,
-                                   limit, paths)
-    return np.ascontiguousarray(x.T), paths, code, step, particle
+    t, c = _rk4_maps(a_nodes, a_mids, dlam, b_nodes, b_mids)
+    y, tmp = np.empty_like(x), np.empty_like(x)
+    for k in range(dlam.shape[0]):
+        _affine(t[k], x, y, tmp, c[k])
+        x, y = y, x
+        if paths is not None:
+            paths[:, k + 1, :] = x.T
+        code, particle = _first_bad(x, limit)
+        if code:
+            return np.ascontiguousarray(x.T), paths, code, k, particle
+    return np.ascontiguousarray(x.T), paths, 0, -1, -1

@@ -69,56 +69,59 @@ def lmv_estimate(prior: GaussianPrior, meas: LinearMeasurement) -> np.ndarray:
     return prior.x_prior + gain @ np.linalg.solve(gram, innov)
 
 
+def _lyapunov_vech(a: np.ndarray) -> np.ndarray:
+    """``L(A)`` with ``vech(A P + P A^T) = L(A) vech(P)``, for a stack of A.
+
+    vech lists the upper triangle row by row (``np.triu_indices``).  Entry
+    (i, j) of ``A P + P A^T`` is ``sum_k A[i,k] P[k,j] + A[j,k] P[k,i]``,
+    so row (i, j) of L takes ``A[i,k]`` at the column of ``P[k,j]`` and
+    ``A[j,k]`` at the column of ``P[k,i]``; both land on one column when
+    i == j.  Returns (L, p, p) with p = n(n+1)/2.
+    """
+    n = a.shape[1]
+    iu, ju = np.triu_indices(n)
+    col = np.empty((n, n), dtype=np.intp)
+    col[iu, ju] = col[ju, iu] = np.arange(iu.size)
+    rows = np.arange(iu.size)[:, None]
+    op = np.zeros((a.shape[0], iu.size, iu.size))
+    op[:, rows, col[ju]] += a[:, iu]
+    op[:, rows, col[iu]] += a[:, ju]
+    return op
+
+
 def solve_moment_odes(params: FlowParameterization, grid: LambdaGrid,
                       prior: GaussianPrior, meas: LinearMeasurement) -> MomentPath:
     """Integrate the moment ODEs with the classic fourth-order scheme.
 
     The grid supplies the nodes only; moments always use the
-    deterministic scheme regardless of ``grid.scheme``.  The mean ODE is
-    affine, so each RK4 step is the map ``xbar -> T_k xbar + c_k``, built
-    for every step in one batched pass (``kernels._rk4_maps``).  The
-    covariance takes the four RK4 stages directly; each stage evaluates
-    ``A P + P A^T`` as ``X + X^T`` with ``X = A P``, so every stage input,
-    and every covariance, is exactly symmetric.
+    deterministic scheme regardless of ``grid.scheme``.  Both moment ODEs
+    are affine: the mean's, and ``d vech(P) = L(A) vech(P) + vech(Q)``
+    for the covariance (see :func:`_lyapunov_vech`).  Each is stepped as
+    its own chain of RK4 maps (``kernels._rk4_maps``, ``kernels._chain``),
+    and every covariance is rebuilt from its vech, so it is exactly
+    symmetric.
 
-    Raises DivergenceError at the first step whose moments leave the
-    trusted range.
+    Raises DivergenceError at the first step whose moments are not
+    finite.
     """
     nodes = grid.nodes
     a_nodes, b_nodes, q_nodes = affine_tables(params, prior, meas, nodes)
     a_mids, b_mids, q_mids = affine_tables(params, prior, meas, grid.midpoints)
-    dlam = grid.dlam
-    t, c = kernels._rk4_maps(a_nodes, a_mids, dlam, b_nodes, b_mids)
+    iu = np.triu_indices(prior.n)
+    finite = np.finfo(float).max
 
-    n = prior.n
-    steps = grid.steps
-    means = np.empty((steps + 1, n))
-    covs = np.empty((steps + 1, n, n))
-    means[0] = prior.x_prior
-    covs[0] = prior.P_g
-
-    mean, cov = means[0], covs[0]
-    # Step sizes as Python floats and the stacks as per-step views, made
-    # once: indexing inside the loop costs more than the 4x4 arithmetic.
-    hs = dlam.tolist()
-    halves = (0.5 * dlam).tolist()
-    sixths = (dlam / 6.0).tolist()
-    for k, (t_k, c_k, a0, q0, am, qm, a1, q1) in enumerate(zip(
-            t, c, a_nodes, q_nodes, a_mids, q_mids, a_nodes[1:], q_nodes[1:])):
-        mean = t_k @ mean + c_k
-        x = a0 @ cov
-        d1 = x + x.T + q0
-        x = am @ (cov + halves[k] * d1)
-        d2 = x + x.T + qm
-        x = am @ (cov + halves[k] * d2)
-        d3 = x + x.T + qm
-        x = a1 @ (cov + hs[k] * d3)
-        d4 = x + x.T + q1
-        cov = cov + sixths[k] * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise DivergenceError(
-                f"moment propagation diverged at step {k} (lam {nodes[k + 1]:.6g})",
-                step=k, lam=nodes[k + 1])
-        means[k + 1] = mean
-        covs[k + 1] = cov
+    t, c = kernels._rk4_maps(a_nodes, a_mids, grid.dlam, b_nodes, b_mids)
+    means, bad_mean = kernels._chain(t, prior.x_prior, c, finite)
+    t, c = kernels._rk4_maps(_lyapunov_vech(a_nodes), _lyapunov_vech(a_mids),
+                             grid.dlam, q_nodes[:, iu[0], iu[1]],
+                             q_mids[:, iu[0], iu[1]])
+    vechs, bad_cov = kernels._chain(t, prior.P_g[iu], c, finite)
+    if max(bad_mean, bad_cov) >= 0:
+        k = min(bad for bad in (bad_mean, bad_cov) if bad >= 0)
+        raise DivergenceError(
+            f"moment propagation diverged at step {k} (lam {nodes[k + 1]:.6g})",
+            step=k, lam=nodes[k + 1])
+    covs = np.empty((grid.steps + 1, prior.n, prior.n))
+    covs[:, iu[0], iu[1]] = vechs
+    covs[:, iu[1], iu[0]] = vechs
     return MomentPath(nodes=nodes.copy(), means=means, covariances=covs)

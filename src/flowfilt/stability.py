@@ -119,24 +119,17 @@ def _transition(a_of, grid: LambdaGrid) -> np.ndarray:
 
     ``a_of`` maps lam values to stacked A matrices; it is evaluated at the
     nodes and at the midpoints.  Each RK4 step is the linear map ``T_k``
-    (``kernels._rk4_maps``, all steps in one batched pass), so
-    ``Phi[k+1] = T_k Phi[k]`` from ``Phi[0] = I``.  Every chained step
-    passes the kernels' trusted-range test before the next one is formed,
-    so the chain never runs on past a diverged step.  A step that
-    overflows is reported by that test, not by a floating-point warning.
+    of ``kernels._rk4_maps``, and ``kernels._chain`` forms
+    ``Phi[k+1] = T_k Phi[k]`` from ``Phi[0] = I``, testing every step
+    against the trusted range before the next one is formed.
     """
     t, _ = kernels._rk4_maps(a_of(grid.nodes), a_of(grid.midpoints), grid.dlam)
-    phi = np.empty((grid.steps + 1, *t.shape[1:]))
-    phi[0] = np.eye(t.shape[1])
-    rows = list(phi)  # views made once: indexing per step costs more than the matmul
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, t_k in enumerate(t):
-            if kernels._first_bad(np.matmul(t_k, rows[k], out=rows[k + 1]),
-                                  kernels.STATE_LIMIT)[0]:
-                lam = grid.nodes[k + 1]
-                raise AdmissibilityError(
-                    f"error dynamics left the trusted range at step {k}, lam {lam:.6g}",
-                    lam=lam)
+    phi, bad = kernels._chain(t, np.eye(t.shape[1]))
+    if bad >= 0:
+        lam = grid.nodes[bad + 1]
+        raise AdmissibilityError(
+            f"error dynamics left the trusted range at step {bad}, lam {lam:.6g}",
+            lam=lam)
     return phi
 
 

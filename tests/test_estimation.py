@@ -102,6 +102,21 @@ def test_consistency_sweep_slope_is_near_half(canonical):
     assert -0.85 <= table.slope <= -0.25
 
 
+def test_consistency_sweep_keeps_each_ensembles_mean(make_model):
+    rng = np.random.default_rng(16)
+    prior, meas = make_model(rng, 2, 1)
+    params = preset("fixed_q", prior, meas)
+    grid = LambdaGrid.uniform(15)
+    n_list, seeds = [3, 7], [5, 9, 11]
+    table = consistency_sweep(params, prior, meas, grid, n_list, seeds)
+    assert table.mean_estimates.shape == (2, 3, 2)
+    for r, n in enumerate(n_list):
+        for s, seed in enumerate(seeds):
+            ens = propagate_ensemble(sample_prior(n, prior, seed), params, grid,
+                                     prior, meas)
+            assert table.mean_estimates[r, s].tobytes() == mean_estimate(ens).tobytes()
+
+
 def test_consistency_sweep_rejects_singleton_ensembles(canonical):
     prior, meas = canonical
     params = preset("fixed_q", prior, meas)

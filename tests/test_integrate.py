@@ -105,6 +105,19 @@ def test_ensemble_rows_replay_single_particle_runs(make_model):
         assert np.array_equal(out.particles[i], solo.terminal)
 
 
+def test_rk4_ensemble_rows_replay_single_particle_runs(make_model):
+    rng = np.random.default_rng(24)
+    prior, meas = make_model(rng, 3, 2)
+    params = preset("exact", prior, meas)
+    grid = LambdaGrid.uniform(60, scheme="rk4")
+    ens = sample_prior(7, prior, seed=41)
+    out = propagate_ensemble(ens, params, grid, prior, meas)
+    for i in range(7):
+        solo = propagate_particle(ens.particles[i], params, grid,
+                                  NoiseStream(41, i), prior, meas)
+        assert out.particles[i].tobytes() == solo.terminal.tobytes()
+
+
 def test_ensemble_output_depends_only_on_slot(make_model):
     rng = np.random.default_rng(21)
     prior, meas = make_model(rng, 2, 1)

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from flowfilt.kernels import em_propagate, rk4_propagate
+from flowfilt.kernels import _rk4_maps, em_propagate, rk4_propagate
 
 
 def _affine_ref(a, b, x):
@@ -63,6 +64,20 @@ def _rk4_ref(x0, a_nodes, b_nodes, a_mids, b_mids, dlam):
     return paths
 
 
+def _rk4_map_ref(x0, a_nodes, b_nodes, a_mids, b_mids, dlam):
+    """Each particle stepped alone through the maps ``x -> T_k x + c_k``."""
+    t, c = _rk4_maps(a_nodes, a_mids, dlam, b_nodes, b_mids)
+    n_particles, n = x0.shape
+    paths = np.empty((n_particles, dlam.shape[0] + 1, n))
+    for i in range(n_particles):
+        x = list(x0[i])
+        paths[i, 0] = x
+        for k in range(dlam.shape[0]):
+            x = _affine_ref(t[k], c[k], x)
+            paths[i, k + 1] = x
+    return paths
+
+
 def _same_bits(got, want):
     """Bitwise equality, telling +0.0 from -0.0."""
     return got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -105,8 +120,8 @@ def test_em_matches_scalar_reference_bitwise(m, record):
 @pytest.mark.parametrize("m", [0, 2])
 def test_rk4_matches_scalar_reference_bitwise(m, record):
     c = _block(m)
-    expected = _rk4_ref(c["x0"], c["a"], c["b"], c["a_mids"], c["b_mids"],
-                        c["dlam"])
+    expected = _rk4_map_ref(c["x0"], c["a"], c["b"], c["a_mids"], c["b_mids"],
+                            c["dlam"])
     states, paths, code, step, particle = rk4_propagate(
         c["x0"], c["a"], c["b"], c["a_mids"], c["b_mids"], c["dlam"],
         record=record)
@@ -116,6 +131,23 @@ def test_rk4_matches_scalar_reference_bitwise(m, record):
         assert _same_bits(paths, expected)
     else:
         assert paths is None
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("m", [0, 2])
+def test_rk4_matches_stagewise_reference(m, record):
+    # The maps round differently from RK4 applied stage by stage to the
+    # state, by a few ulps per step.
+    c = _block(m)
+    expected = _rk4_ref(c["x0"], c["a"], c["b"], c["a_mids"], c["b_mids"],
+                        c["dlam"])
+    states, paths, code, step, particle = rk4_propagate(
+        c["x0"], c["a"], c["b"], c["a_mids"], c["b_mids"], c["dlam"],
+        record=record)
+    assert (code, step, particle) == (0, -1, -1)
+    assert_allclose(states, expected[:, -1], rtol=1e-12)
+    if record:
+        assert_allclose(paths, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("m", [0, 1])
@@ -132,7 +164,7 @@ def test_products_start_from_positive_zero(m):
     em = _em_ref(x0, a[:steps], b[:steps], q, noise, c["dlam"])
     got = em_propagate(x0, a[:steps], b[:steps], q, noise, c["dlam"], record=True)
     assert _same_bits(got[1], em)
-    rk = _rk4_ref(x0, a, b, a[:steps], b[:steps], c["dlam"])
+    rk = _rk4_map_ref(x0, a, b, a[:steps], b[:steps], c["dlam"])
     got = rk4_propagate(x0, a, b, a[:steps], b[:steps], c["dlam"], record=True)
     assert _same_bits(got[1], rk)
 
@@ -157,3 +189,26 @@ def test_em_reports_smallest_failing_step_then_particle(nan_row, overflow_row,
     _, _, code, step, particle = em_propagate(x0, a_all, b_all, q_all, noise,
                                               dlam)
     assert (code, step, particle) == expected
+
+
+@pytest.mark.parametrize("nan_row, overflow_row, expected", [
+    (3, 1, (2, 0, 1)),
+    (1, 3, (1, 0, 1)),
+])
+def test_rk4_reports_smallest_failing_step_then_particle(nan_row, overflow_row,
+                                                          expected):
+    steps, n = 6, 2
+    # Each step multiplies the state by exactly 445.375.
+    a = np.broadcast_to(9.0 * np.eye(n), (steps + 1, n, n))
+    b = np.zeros((steps + 1, n))
+    dlam = np.ones(steps)
+    x0 = np.ones((5, n))
+    x0[0] = 1e8  # 4.45e10, then 1.98e13 at step 1: later, so it must not win
+    x0[overflow_row] = 1e10  # 4.45e12 > 1e12 at step 0
+    # Every particle shares the maps, so only its start can carry a NaN.
+    x0[nan_row, 0] = np.nan
+    _, _, code, step, particle = rk4_propagate(x0, a, b, a[:steps], b[:steps],
+                                               dlam)
+    assert (code, step, particle) == expected
+    # Alone, row 0 is reported at the step where it overflows.
+    assert rk4_propagate(x0[:1], a, b, a[:steps], b[:steps], dlam)[2:] == (2, 1, 0)

@@ -54,16 +54,20 @@ def test_lmv_estimate_equals_posterior_mean(make_model):
 @pytest.mark.parametrize("kind", ["exact", "fixed_q", "constant_q", "diagnostic"])
 def test_moment_path_hits_oracle(kind, make_model):
     rng = np.random.default_rng(33)
-    prior, meas = make_model(rng, 2, 2)
-    kwargs = {"Q0": np.eye(2)} if kind == "constant_q" else {}
-    params = preset(kind, prior, meas, **kwargs)
-    grid = LambdaGrid.uniform(400)
-    path = solve_moment_odes(params, grid, prior, meas)
-    for lam_idx in (0, 200, 400):
-        lam = grid.nodes[lam_idx]
-        mean_ref, cov_ref = closed_form_posterior(lam, prior, meas)
-        assert_allclose(path.means[lam_idx], mean_ref, atol=1e-7)
-        assert_allclose(path.covariances[lam_idx], cov_ref, atol=1e-7)
+    # n = 1 and n = 5 put the vech operator at both ends of its sizes.
+    for n, d in [(2, 2), (1, 1), (3, 2), (5, 3)]:
+        prior, meas = make_model(rng, n, d)
+        kwargs = {"Q0": np.eye(n)} if kind == "constant_q" else {}
+        params = preset(kind, prior, meas, **kwargs)
+        grid = LambdaGrid.uniform(400)
+        path = solve_moment_odes(params, grid, prior, meas)
+        for lam_idx in (0, 200, 400):
+            lam = grid.nodes[lam_idx]
+            mean_ref, cov_ref = closed_form_posterior(lam, prior, meas)
+            where = f"n={n} d={d} lam={lam}"
+            assert_allclose(path.means[lam_idx], mean_ref, atol=1e-7, err_msg=where)
+            assert_allclose(path.covariances[lam_idx], cov_ref, atol=1e-7,
+                            err_msg=where)
 
 
 def test_moment_path_covariances_stay_symmetric(canonical, make_model):
