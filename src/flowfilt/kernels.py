@@ -4,7 +4,7 @@ Inside the kernels the ensemble is column-major: the state is an (n, N)
 array with one column per particle and the EM noise is (steps, m, N), so
 each update is one numpy operation over all N particles.  Callers keep
 the row layout: states go in and come out as (N, n), and recorded paths
-are (N, steps+1, n), filled in place after every step.
+are (N, steps+1, n), filled in place.
 
 The accumulation order is part of the contract, because ensemble row i
 must equal a single-particle run bit for bit.  Every product
@@ -16,9 +16,13 @@ never generated here; callers pass precomputed normal draws.
 
 Every drift here is affine, so one classic RK4 step of any deterministic
 solve is an affine map ``y -> T_k y + c_k``.  ``_rk4_maps`` builds the
-maps of all steps in one batched pass and is the only RK4 formula: the
-RK4 ensemble applies them to its columns, and ``_chain`` steps one
-vector or matrix through them for the moment ODEs and the error dynamics.
+maps of all steps in one batched pass and is the only RK4 formula, and
+``_chain`` steps one vector or matrix through them, testing the trusted
+range once per block of steps.  The moment ODEs and the error dynamics
+chain their own solutions; the RK4 ensemble chains the maps themselves
+into ``x_k = Phi_k x_0 + d_k`` and applies the result to its columns
+once, forming a step's states only where a bound on them does not clear
+the limit.
 
 Kernel return convention: ``(code, step, particle)`` where code 0 means
 success, 1 a non-finite state and 2 a norm overflow.  The reported pair
@@ -33,6 +37,8 @@ import numpy as np
 
 # States with any coordinate beyond this magnitude count as diverged.
 STATE_LIMIT = 1e12
+# Steps per whole-block trusted-range test in ``_chain``.
+CHAIN_BLOCK = 64
 
 NUMBA_AVAILABLE = False  # kept for perfbench/run.py, which reads it
 
@@ -46,16 +52,21 @@ def warmup() -> None:  # kept for perfbench/run.py, which calls it
 
 
 def _affine(a, x, out, tmp, b=None):
-    """``out = a @ x (+ b)`` for every column of x, in the contract's order."""
+    """``out = a @ x (+ b)`` for every column of x, in the contract's order.
+
+    ``a`` may be one (n, n) matrix or a stack of them, with ``b`` the
+    matching (n,) or (L, n); a stack fills out (L, n, N), one slice per
+    matrix, each equal to the single-matrix result.
+    """
     # (a0 x0) + 0.0 equals 0.0 + (a0 x0), signed zeros included, so the
     # first term goes straight into out.
-    np.multiply(a[:, 0, None], x[0], out=out)
+    np.multiply(a[..., 0, None], x[0], out=out)
     out += 0.0
-    for kk in range(1, a.shape[1]):
-        np.multiply(a[:, kk, None], x[kk], out=tmp)
+    for kk in range(1, a.shape[-1]):
+        np.multiply(a[..., kk, None], x[kk], out=tmp)
         out += tmp
     if b is not None:
-        out += b[:, None]
+        out += b[..., None]
 
 
 def _first_bad(x, limit):
@@ -128,20 +139,32 @@ def _chain(t, y0, c=None, limit=STATE_LIMIT):
     """Chain ``y[k+1] = t[k] @ y[k] (+ c[k])`` from ``y[0] = y0``, a vector
     or a matrix, one matmul per step.
 
-    Each new y passes :func:`_first_bad` before the next step is formed;
-    an overflow is reported by that test, not by a floating-point warning.
-    Returns the (steps+1, ...) stack and the first failing step, or -1.
+    The trusted range is tested once per block of ``CHAIN_BLOCK`` steps,
+    on the whole block; when that fails, the first failing step of the
+    block is found and the chain stops.  Steps past it inside the block
+    are chained under a silenced overflow, so an overflow is reported by
+    the range test, not by a floating-point warning.  Returns the
+    (steps+1, ...) stack and the first failing step, or -1; rows past the
+    failing step are not meaningful.
     """
     y = np.empty((t.shape[0] + 1, *np.shape(y0)))
     y[0] = y0
-    rows = list(y)  # views made once: indexing per step costs more than the matmul
+    # Views made once: indexing per step costs more than the matmul.
+    rows, maps = list(y), list(t)
+    offsets = None if c is None else list(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, t_k in enumerate(t):
-            np.matmul(t_k, rows[k], out=rows[k + 1])
-            if c is not None:
-                rows[k + 1] += c[k]
-            if _first_bad(rows[k + 1], limit)[0]:
-                return y, k
+        for start in range(0, len(maps), CHAIN_BLOCK):
+            stop = min(start + CHAIN_BLOCK, len(maps))
+            for k in range(start, stop):
+                np.matmul(maps[k], rows[k], out=rows[k + 1])
+                if offsets is not None:
+                    rows[k + 1] += offsets[k]
+            block = y[start + 1:stop + 1]
+            # NaN makes both comparisons false.
+            if not (block.max(initial=-limit) <= limit
+                    and block.min(initial=limit) >= -limit):
+                flat = np.abs(block.reshape(stop - start, -1))
+                return y, start + int(np.argmax(~(flat <= limit).all(axis=1)))
     return y, -1
 
 
@@ -190,20 +213,52 @@ def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
     """Classic fourth-order propagation for zero-diffusion flows.
 
     Shapes follow :func:`em_propagate` with drift coefficients supplied
-    at the nodes and at the step midpoints.  Step k applies the RK4 map
-    ``x -> T_k x + c_k`` of :func:`_rk4_maps` to every column in the
-    contract's order and tests the states before the next step.
+    at the nodes and at the step midpoints.  The RK4 maps
+    ``x -> T_k x + c_k`` of :func:`_rk4_maps` are chained once, as the
+    augmented matrices ``[[T_k, c_k], [0, 1]]``, into
+    ``x_k = Phi_k x_0 + d_k``; the states at step k are ``Phi_k`` and
+    ``d_k`` applied to every column in the contract's order, so a
+    particle's result does not depend on the rest of the ensemble.
+
+    Divergence is judged on those states.  A step whose bound
+    ``|Phi_k|_inf max|x_0| + |d_k|_inf`` stays within ``limit / 2`` cannot
+    fail; the states of every other step are formed and tested in step
+    order, so the reported (step, particle) is the smallest that fails.
     """
     dlam = _contig(dlam)
     x, paths = _columns(x0, dlam.shape[0], record)
+    n, steps = x.shape[0], dlam.shape[0]
     t, c = _rk4_maps(a_nodes, a_mids, dlam, b_nodes, b_mids)
+    aug = np.zeros((steps, n + 1, n + 1))
+    aug[:, :n, :n] = t
+    aug[:, :n, n] = c
+    aug[:, n, n] = 1.0
+    # The chain only needs to stay finite; a non-finite Phi_k or d_k makes
+    # every state at step k non-finite.
+    chained, bad = _chain(aug, np.eye(n + 1), limit=np.finfo(np.float64).max)
+    phi, d = chained[1:, :n, :n], chained[1:, :n, n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = (np.abs(phi).sum(axis=2).max(axis=1, initial=0.0)
+                 * np.abs(x).max(initial=0.0)
+                 + np.abs(d).max(axis=1, initial=0.0))
+    flagged = ~(bound <= 0.5 * limit)  # NaN bounds are flagged
+    if bad >= 0:
+        flagged[bad:] = True  # rows past a non-finite Phi are not meaningful
+    if record:
+        states = np.empty((steps, n, x.shape[1]))
+        _affine(phi, x, states, np.empty_like(states), d)
+        paths[:, 1:, :] = states.transpose(2, 0, 1)
     y, tmp = np.empty_like(x), np.empty_like(x)
-    for k in range(dlam.shape[0]):
-        _affine(t[k], x, y, tmp, c[k])
-        x, y = y, x
-        if paths is not None:
-            paths[:, k + 1, :] = x.T
-        code, particle = _first_bad(x, limit)
+    for k in np.flatnonzero(flagged):
+        if record:
+            y = states[k]
+        else:
+            _affine(phi[k], x, y, tmp, d[k])
+        code, particle = _first_bad(y, limit)
         if code:
-            return np.ascontiguousarray(x.T), paths, code, k, particle
-    return np.ascontiguousarray(x.T), paths, 0, -1, -1
+            return np.ascontiguousarray(y.T), paths, code, int(k), particle
+    if record:
+        y = states[-1]
+    else:
+        _affine(phi[-1], x, y, tmp, d[-1])
+    return np.ascontiguousarray(y.T), paths, 0, -1, -1

@@ -15,6 +15,13 @@ pass and chained into the transition matrices ``Phi_k``; every check reads
 trajectories and Lyapunov traces (``xtilde_0^T Phi_k^T W Phi_k xtilde_0``)
 off them.  The trusted-range check therefore applies to Phi, not to each
 trajectory, whatever the size of the initial errors.
+
+The Monte Carlo FTSS check counts the initial errors whose S-norm stays
+at or below beta.  Since ``x^T Phi_k^T S Phi_k x <= rho x^T S x`` with
+``rho`` the largest squared S-norm gain of the ``Phi_k`` (1 along an
+admissible flow, where ``V_S <= V_M`` never increases, up to the RK4
+error), a point with ``rho x0^T S x0`` clearly below beta is counted
+without forming its node forms; only the rest are formed.
 """
 
 from __future__ import annotations
@@ -120,8 +127,8 @@ def _transition(a_of, grid: LambdaGrid) -> np.ndarray:
     ``a_of`` maps lam values to stacked A matrices; it is evaluated at the
     nodes and at the midpoints.  Each RK4 step is the linear map ``T_k``
     of ``kernels._rk4_maps``, and ``kernels._chain`` forms
-    ``Phi[k+1] = T_k Phi[k]`` from ``Phi[0] = I``, testing every step
-    against the trusted range before the next one is formed.
+    ``Phi[k+1] = T_k Phi[k]`` from ``Phi[0] = I``, testing the trusted
+    range per block of steps and naming the first step that leaves it.
     """
     t, _ = kernels._rk4_maps(a_of(grid.nodes), a_of(grid.midpoints), grid.dlam)
     phi, bad = kernels._chain(t, np.eye(t.shape[1]))
@@ -138,8 +145,45 @@ def _node_quad(phi: np.ndarray, weight: np.ndarray, x0: np.ndarray) -> np.ndarra
     one matrix or one per node."""
     forms = np.swapaxes(phi, 1, 2) @ weight @ phi
     outer = x0[:, :, None] * x0[:, None, :]
-    # einsum without optimization never calls BLAS, so it stays deterministic.
+    # einsum without optimization never calls BLAS, so it stays deterministic
+    # and each point's row does not depend on the other points.
     return np.einsum("pij,kij->pk", outer, forms, optimize=False)
+
+
+# Relative margin below beta that the Lyapunov screen of _count_bounded
+# keeps.  Rounding moves a node form from its bound by a few ulps times the
+# conditioning of S, many orders of magnitude less.
+SCREEN_SLACK = 1e-6
+
+
+def _s_gain(phi: np.ndarray, s_weight: np.ndarray) -> float:
+    """``rho = max_k lambda_max(S^-1 Phi_k^T S Phi_k)``, the largest squared
+    S-norm gain of the transition matrices."""
+    chol_inv = solve_triangular(np.linalg.cholesky(s_weight),
+                                np.eye(s_weight.shape[0]), lower=True)
+    # With S = L L^T, L^-1 Phi_k^T S Phi_k L^-T is symmetric and similar to
+    # S^-1 Phi_k^T S Phi_k.
+    gram = chol_inv @ np.swapaxes(phi, 1, 2) @ s_weight @ phi @ chol_inv.T
+    return float(np.linalg.eigvalsh(gram)[:, -1].max())
+
+
+def _count_bounded(phi: np.ndarray, s_weight: np.ndarray, x0: np.ndarray,
+                   beta: float) -> int:
+    """How many points keep ``x0^T Phi_k^T S Phi_k x0 <= beta`` at every node.
+
+    Equal to counting over :func:`_node_quad`, which forms every (point,
+    node) value, but a point with ``rho x0^T S x0`` below beta by
+    ``SCREEN_SLACK`` is counted unformed.  Nothing is screened when rho
+    is not finite.
+    """
+    rho = _s_gain(phi, s_weight)
+    if np.isfinite(rho):
+        s0 = np.einsum("pi,ij,pj->p", x0, s_weight, x0)
+        safe = rho * s0 < (1.0 - SCREEN_SLACK) * beta
+    else:
+        safe = np.zeros(x0.shape[0], dtype=bool)
+    v = _node_quad(phi, s_weight, x0[~safe])
+    return int(np.count_nonzero(safe) + np.count_nonzero(np.all(v <= beta, axis=1)))
 
 
 def _ellipsoid_points(count: int, s_weight: np.ndarray, seed: int) -> np.ndarray:
@@ -304,8 +348,7 @@ def check_ftss(params: Optional[FlowParameterization], prior: GaussianPrior,
     if phi is None:
         a_of = _flow_a(params, prior, meas) if system_a_fn is None else _system_a(system_a_fn)
         phi = _transition(a_of, grid)
-    v = _node_quad(phi, s_weight, x0)
-    empirical = int(np.count_nonzero(np.all(v <= beta, axis=1))) / n_mc
+    empirical = _count_bounded(phi, s_weight, x0, beta) / n_mc
     margin = 3.0 * np.sqrt(epsilon * (1.0 - epsilon) / n_mc)
     threshold = (1.0 - epsilon) - margin
     return FtssResult(verdict=bool(empirical >= threshold), alpha=alpha,
@@ -425,14 +468,21 @@ def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
     a_of = _flow_a(params, prior, meas)
     phi, phi_fine = _transition(a_of, grid), _transition(a_of, fine)
     fts_ok, ftcs_ok, lambda1 = deterministic_verdicts(grid, phi)
-    fts_ok2, ftcs_ok2, _ = deterministic_verdicts(fine, phi_fine)
+    fts_ok2, ftcs_ok2, lambda1_fine = deterministic_verdicts(fine, phi_fine)
     ftss = check_ftss(params, prior, meas, grid, alpha, beta_ss, epsilon,
                       n_mc, seed, phi=phi)
     ftss2 = check_ftss(params, prior, meas, fine, alpha, beta_ss,
                        epsilon, n_mc, seed, phi=phi_fine)
-    if (fts_ok, ftcs_ok, ftss.verdict) != (fts_ok2, ftcs_ok2, ftss2.verdict):
+    coarse = {"fts": fts_ok, "ftcs": ftcs_ok, "ftss": ftss.verdict}
+    refined = {"fts": fts_ok2, "ftcs": ftcs_ok2, "ftss": ftss2.verdict}
+    if coarse != refined:
+        changed = ", ".join(f"{name} {coarse[name]} -> {refined[name]}"
+                            for name in coarse if coarse[name] != refined[name])
         raise RuntimeError(
-            "stability verdicts changed under grid refinement; use a finer grid"
+            f"stability verdicts changed under grid refinement ({changed}; "
+            f"coarse -> refined: ftcs lambda1 {lambda1} -> {lambda1_fine}, "
+            f"ftss empirical_prob {ftss.empirical_prob} -> {ftss2.empirical_prob}); "
+            "use a finer grid"
         )
     return StabilityReport(
         fts=FtsResult(verdict=fts_ok, alpha=alpha, beta=beta),

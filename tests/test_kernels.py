@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flowfilt.kernels import _rk4_maps, em_propagate, rk4_propagate
+from flowfilt.kernels import STATE_LIMIT, _rk4_maps, em_propagate, rk4_propagate
 
 
 def _affine_ref(a, b, x):
@@ -64,18 +64,47 @@ def _rk4_ref(x0, a_nodes, b_nodes, a_mids, b_mids, dlam):
     return paths
 
 
-def _rk4_map_ref(x0, a_nodes, b_nodes, a_mids, b_mids, dlam):
-    """Each particle stepped alone through the maps ``x -> T_k x + c_k``."""
+def _chained_maps(a_nodes, b_nodes, a_mids, b_mids, dlam):
+    """``Phi_k`` and ``d_k`` of ``x_k = Phi_k x_0 + d_k``, k = 1..steps,
+    chained one step at a time from the augmented RK4 maps."""
     t, c = _rk4_maps(a_nodes, a_mids, dlam, b_nodes, b_mids)
+    steps, n = c.shape
+    aug = np.zeros((steps, n + 1, n + 1))
+    aug[:, :n, :n], aug[:, :n, n], aug[:, n, n] = t, c, 1.0
+    chained = [np.eye(n + 1)]
+    for k in range(steps):
+        chained.append(aug[k] @ chained[-1])
+    chained = np.stack(chained[1:])
+    return chained[:, :n, :n], chained[:, :n, n]
+
+
+def _rk4_chain_ref(x0, a_nodes, b_nodes, a_mids, b_mids, dlam):
+    """Each particle alone: ``x_k = Phi_k x_0 + d_k`` one entry at a time."""
+    phi, d = _chained_maps(a_nodes, b_nodes, a_mids, b_mids, dlam)
     n_particles, n = x0.shape
     paths = np.empty((n_particles, dlam.shape[0] + 1, n))
     for i in range(n_particles):
-        x = list(x0[i])
-        paths[i, 0] = x
+        paths[i, 0] = x0[i]
         for k in range(dlam.shape[0]):
-            x = _affine_ref(t[k], c[k], x)
-            paths[i, k + 1] = x
+            paths[i, k + 1] = _affine_ref(phi[k], d[k], list(x0[i]))
     return paths
+
+
+def _rk4_per_step_outcome(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
+                          limit=STATE_LIMIT):
+    """(code, step, particle) of stepping every column through the RK4 maps
+    and testing it after each step, the smallest failing pair first."""
+    t, c = _rk4_maps(a_nodes, a_mids, dlam, b_nodes, b_mids)
+    x = x0.T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(dlam.shape[0]):
+            x = t[k] @ x + c[k][:, None]
+            nonfinite = ~np.isfinite(x).all(axis=0)
+            bad = nonfinite | (np.abs(x) > limit).any(axis=0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                return (1 if nonfinite[i] else 2), k, i
+    return 0, -1, -1
 
 
 def _same_bits(got, want):
@@ -120,8 +149,8 @@ def test_em_matches_scalar_reference_bitwise(m, record):
 @pytest.mark.parametrize("m", [0, 2])
 def test_rk4_matches_scalar_reference_bitwise(m, record):
     c = _block(m)
-    expected = _rk4_map_ref(c["x0"], c["a"], c["b"], c["a_mids"], c["b_mids"],
-                            c["dlam"])
+    expected = _rk4_chain_ref(c["x0"], c["a"], c["b"], c["a_mids"], c["b_mids"],
+                              c["dlam"])
     states, paths, code, step, particle = rk4_propagate(
         c["x0"], c["a"], c["b"], c["a_mids"], c["b_mids"], c["dlam"],
         record=record)
@@ -136,8 +165,8 @@ def test_rk4_matches_scalar_reference_bitwise(m, record):
 @pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("m", [0, 2])
 def test_rk4_matches_stagewise_reference(m, record):
-    # The maps round differently from RK4 applied stage by stage to the
-    # state, by a few ulps per step.
+    # The chained maps round differently from RK4 applied stage by stage
+    # to the state, by a few ulps per step.
     c = _block(m)
     expected = _rk4_ref(c["x0"], c["a"], c["b"], c["a_mids"], c["b_mids"],
                         c["dlam"])
@@ -164,7 +193,7 @@ def test_products_start_from_positive_zero(m):
     em = _em_ref(x0, a[:steps], b[:steps], q, noise, c["dlam"])
     got = em_propagate(x0, a[:steps], b[:steps], q, noise, c["dlam"], record=True)
     assert _same_bits(got[1], em)
-    rk = _rk4_map_ref(x0, a, b, a[:steps], b[:steps], c["dlam"])
+    rk = _rk4_chain_ref(x0, a, b, a[:steps], b[:steps], c["dlam"])
     got = rk4_propagate(x0, a, b, a[:steps], b[:steps], c["dlam"], record=True)
     assert _same_bits(got[1], rk)
 
@@ -212,3 +241,61 @@ def test_rk4_reports_smallest_failing_step_then_particle(nan_row, overflow_row,
     assert (code, step, particle) == expected
     # Alone, row 0 is reported at the step where it overflows.
     assert rk4_propagate(x0[:1], a, b, a[:steps], b[:steps], dlam)[2:] == (2, 1, 0)
+
+
+def test_rk4_large_phi_with_tiny_states_does_not_diverge():
+    steps, n = 50, 2
+    # Phi_50 is 2.2e17 (RK4's 2.22 per step against exp(0.8)), so the
+    # bound |Phi_k| max|x0| passes limit / 2 at the last step while every
+    # state stays below the limit.
+    a = np.broadcast_to(40.0 * np.eye(n), (steps + 1, n, n))
+    b = np.zeros((steps + 1, n))
+    dlam = np.full(steps, 1.0 / steps)
+    x0 = np.array([[3e-6, -1e-6], [-2e-6, 3e-6], [0.0, 1e-7]])
+    phi, d = _chained_maps(a, b, a[:steps], b[:steps], dlam)
+    bound = np.abs(phi).sum(axis=2).max(axis=1) * np.abs(x0).max()
+    assert bound[-1] > 0.5 * STATE_LIMIT
+    expected = _rk4_chain_ref(x0, a, b, a[:steps], b[:steps], dlam)
+    assert np.abs(expected).max() < STATE_LIMIT
+    for record in (False, True):
+        states, paths, code, step, particle = rk4_propagate(
+            x0, a, b, a[:steps], b[:steps], dlam, record=record)
+        assert (code, step, particle) == (0, -1, -1)
+        assert _same_bits(states, expected[:, -1])
+        if record:
+            assert _same_bits(paths, expected)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_rk4_nan_start_is_reported_at_step_zero(row, record):
+    c = _block(0)
+    x0 = c["x0"].copy()
+    x0[row, 1] = np.nan
+    got = rk4_propagate(x0, c["a"], c["b"], c["a_mids"], c["b_mids"], c["dlam"],
+                        record=record)
+    assert got[2:] == (1, 0, row)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("overflow_step, particle", [(0, 3), (3, 0), (5, 2), (11, 1)])
+def test_rk4_overflow_matches_the_per_step_kernel(overflow_step, particle, record):
+    steps, n = 12, 3
+    rng = np.random.default_rng(7)
+    # Every step multiplies the state by about 16 and adds a small offset.
+    a = np.broadcast_to(3.0 * np.eye(n), (steps + 1, n, n)) \
+        + 0.01 * rng.standard_normal((steps + 1, n, n))
+    b = 1e-6 * rng.standard_normal((steps + 1, n))
+    a_mids, b_mids = a[:steps] + 0.0, b[:steps] + 0.0
+    dlam = np.ones(steps)
+    growth = float(np.linalg.norm(_rk4_maps(a, a_mids, dlam, b, b_mids)[0][0], 2))
+    x0 = rng.uniform(0.5, 1.0, (5, n))
+    # Particle j crosses the limit at overflow_step; every other particle
+    # would only cross it later.
+    x0[particle] *= 4.0 * STATE_LIMIT / growth ** (overflow_step + 1)
+    others = [i for i in range(5) if i != particle]
+    x0[others] *= 0.05 * STATE_LIMIT / growth ** (overflow_step + 2)
+    expected = _rk4_per_step_outcome(x0, a, b, a_mids, b_mids, dlam)
+    assert expected == (2, overflow_step, particle)
+    got = rk4_propagate(x0, a, b, a_mids, b_mids, dlam, record=record)
+    assert got[2:] == expected

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 from flowfilt import stability
 from flowfilt import (
     AdmissibilityError,
+    GaussianPrior,
     LambdaGrid,
+    LinearMeasurement,
     Regime,
     build_stability_report,
     check_fts,
@@ -253,6 +255,23 @@ def test_build_stability_report(canonical):
     assert set(payload) == {"fts", "ftcs", "ftss", "sigma", "regime"}
 
 
+def test_refinement_guard_names_the_verdict_that_changed():
+    # V_S = 0.999 / (1 + lam / 2.99) drops below beta_c = 0.75 at lam 0.9927,
+    # between the last two coarse nodes: the coarse grid sees it only at
+    # lam 1, which is not interior, and the refined grid at lam 0.995.
+    prior = GaussianPrior(np.zeros(1), np.eye(1))
+    meas = LinearMeasurement(np.eye(1), np.array([[2.99]]), np.array([1.0]))
+    params = preset("exact", prior, meas)
+    with pytest.raises(RuntimeError) as info:
+        build_stability_report(params, prior, meas, LambdaGrid.uniform(100),
+                               n_mc=200, seed=0)
+    message = str(info.value)
+    assert "changed under grid refinement (ftcs False -> True;" in message
+    assert "fts " not in message and "ftss False" not in message
+    assert "ftcs lambda1 None -> 0.995" in message
+    assert "ftss empirical_prob 0.95 -> 0.95" in message
+
+
 def test_report_builds_each_grids_transition_once(monkeypatch, make_model):
     prior, meas = make_model(np.random.default_rng(55), 2, 1)
     params = preset("fixed_q", prior, meas)
@@ -391,3 +410,21 @@ def test_check_ftss_does_not_hold_the_monte_carlo_paths(make_model):
     assert res.verdict
     # The recorded (n_mc, steps+1, n) paths alone would take 64 MB.
     assert peak < 2 * n_mc * (grid.steps + 1) * 8
+
+
+def test_check_ftss_forms_only_the_points_the_lyapunov_bound_cannot_clear(make_model):
+    rng = np.random.default_rng(55)
+    prior, meas = make_model(rng, 4, 2)
+    params = preset("fixed_q", prior, meas)
+    grid = LambdaGrid.uniform(1000)
+    n_mc = 2000
+    tracemalloc.start()
+    try:
+        res = check_ftss(params, prior, meas, grid, alpha=1.0, beta=4.0,
+                         epsilon=0.25, n_mc=n_mc, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.verdict
+    # The (n_mc, steps+1) node forms of every point alone would take 16 MB.
+    assert peak < n_mc * (grid.steps + 1) * 8 / 4
