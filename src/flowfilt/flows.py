@@ -147,12 +147,8 @@ class FlowParameterization:
         lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
         if self._q_builder is not None:
             return self._q_builder(lambdas, prior, meas)
-        m_stack = _m_stack(lambdas, prior, meas)
-        ks = self.k_stack(lambdas, prior, meas)
-        num = ks + np.swapaxes(ks, 1, 2) + meas.info_matrix
-        y = np.linalg.solve(m_stack, num)
-        q = np.linalg.solve(m_stack, np.swapaxes(y, 1, 2))
-        return _sym(q)
+        return _induced_q(np.linalg.inv(_m_stack(lambdas, prior, meas)),
+                          self.k_stack(lambdas, prior, meas), meas.info_matrix)
 
     def validate(self, prior: GaussianPrior, meas: LinearMeasurement,
                  grid_points: int = _VALIDATION_GRID) -> None:
@@ -190,13 +186,21 @@ def _m_stack(lambdas: np.ndarray, prior: GaussianPrior, meas: LinearMeasurement)
     return prior.precision[None, :, :] + lambdas[:, None, None] * meas.info_matrix[None, :, :]
 
 
+def _induced_q(m_inv: np.ndarray, ks: np.ndarray, g_info: np.ndarray) -> np.ndarray:
+    """Diffusion ``M^{-1} (K + K^T + H^T R^{-1} H) M^{-1}`` induced by a
+    stack of K, given the stack of ``M(lam)^{-1}``."""
+    return _sym(m_inv @ (ks + np.swapaxes(ks, 1, 2) + g_info) @ m_inv)
+
+
 def affine_tables(params: FlowParameterization, prior: GaussianPrior,
                   meas: LinearMeasurement, lambdas, want_q: bool = True):
     """Batch-evaluate (A, b, Q) for a flow on a vector of lam values.
 
     This is the workhorse used by the integrators and the moment solver.
     Returns arrays of shape (L, n, n), (L, n) and (L, n, n); Q is None
-    when ``want_q`` is false.
+    when ``want_q`` is false.  ``M(lam)`` is inverted once, with one
+    batched ``inv``, and that inverse gives A, the drift at the origin
+    and b, and the induced Q of a flow without its own diffusion builder.
 
     Raises AdmissibilityError if the schedule fails the positivity test
     at any requested node (skipped for presets that are admissible by
@@ -205,7 +209,7 @@ def affine_tables(params: FlowParameterization, prior: GaussianPrior,
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_lambdas(lambdas)
     g_info = meas.info_matrix
-    m_stack = _m_stack(lambdas, prior, meas)
+    m_inv = np.linalg.inv(_m_stack(lambdas, prior, meas))
     ks = params.k_stack(lambdas, prior, meas)
 
     if not params.analytic_admissible:
@@ -215,17 +219,22 @@ def affine_tables(params: FlowParameterization, prior: GaussianPrior,
                 f"flow {params.kind!r} is inadmissible at lam={lambdas[bad]:.6f}",
                 lam=lambdas[bad], margin=margin)
 
-    a_stack = -np.linalg.solve(m_stack, g_info[None, :, :] + ks)
+    a_stack = -(m_inv @ (g_info + ks))
 
     # b = f(0, lam): drift formula evaluated at the origin.
     v = cho_solve((prior.chol, True), prior.x_prior)
     u = meas.info_vector
     grad0 = v[None, :] + lambdas[:, None] * u[None, :]
-    w0 = -np.linalg.solve(m_stack, grad0[:, :, None])[:, :, 0]
+    w0 = -np.einsum("lij,lj->li", m_inv, grad0)
     inner = -u[None, :] + np.einsum("lij,lj->li", ks, w0)
-    b_stack = -np.linalg.solve(m_stack, inner[:, :, None])[:, :, 0]
+    b_stack = -np.einsum("lij,lj->li", m_inv, inner)
 
-    q_stack = params.q_stack(lambdas, prior, meas) if want_q else None
+    if not want_q:
+        q_stack = None
+    elif params._q_builder is None:
+        q_stack = _induced_q(m_inv, ks, g_info)
+    else:
+        q_stack = params.q_stack(lambdas, prior, meas)
     return a_stack, b_stack, q_stack
 
 
@@ -279,7 +288,10 @@ def diffusion_factor(Q, lambdas=None) -> np.ndarray:
     (L, n, m_max) with m_max the largest rank: matrix k's kept columns
     (its top ``m_k`` eigenpairs, in ascending order) come first and the
     rest is exactly 0.0, so ``out[k, :, :m_k]`` equals the factor of
-    ``Q[k]`` alone, bit for bit.
+    ``Q[k]`` alone, bit for bit.  Each kept column is signed so that its
+    largest-magnitude entry (the first, on a tie) is positive, which makes
+    the factor of a matrix with distinct eigenvalues a continuous
+    function of it.
 
     Raises AdmissibilityError when a matrix is indefinite beyond
     tolerance, with the first failing matrix's margin; ``lambdas``, the
@@ -311,6 +323,10 @@ def diffusion_factor(Q, lambdas=None) -> np.ndarray:
     cols = np.arange(m_max)
     src = np.minimum(n - rank[:, None] + cols, n - 1)
     kept = np.take_along_axis(vecs * np.sqrt(w)[:, None, :], src[:, None, :], axis=2)
+    # LAPACK picks each eigenvector's sign; fixing it makes the factor a
+    # continuous function of Q.  Negating a column leaves q q^T unchanged.
+    top = np.take_along_axis(kept, np.abs(kept).argmax(axis=1)[:, None, :], axis=1)
+    kept = np.where(top < 0.0, -kept, kept)
     out = np.where((cols < rank[:, None])[:, None, :], kept, 0.0)
     return out[0] if Q.ndim == 2 else out
 
@@ -346,19 +362,12 @@ def exact_flow() -> FlowParameterization:
 
 
 def fixed_q() -> FlowParameterization:
-    """Flow with ``K = 0`` and diffusion ``M^{-1} H^T R^{-1} H M^{-1}``."""
-    def q_builder(lambdas, prior, meas):
-        m_stack = _m_stack(lambdas, prior, meas)
-        y = np.linalg.solve(m_stack, np.broadcast_to(
-            meas.info_matrix, m_stack.shape))
-        q = np.linalg.solve(m_stack, np.swapaxes(y, 1, 2))
-        return _sym(q)
-
+    """Flow with ``K = 0`` and diffusion ``M^{-1} H^T R^{-1} H M^{-1}``,
+    the diffusion that K induces."""
     return FlowParameterization(
         kind="fixed_q",
         description="zero schedule matrix; measurement-shaped diffusion",
         k_builder=_zero_k,
-        q_builder=q_builder,
         analytic_admissible=True,
         descriptor={"flow": "fixed_q"},
     )

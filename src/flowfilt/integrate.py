@@ -217,21 +217,35 @@ def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
     return ParticlePath(nodes=grid.nodes.copy(), states=paths[0])
 
 
+# Streams drawn into one contiguous block before it is transposed into
+# the chunk's (steps, m, N) layout.
+_NOISE_BLOCK = 64
+
+
 def _noise_chunk(seed: int, ids: range, steps: int, m: int) -> np.ndarray:
     """Noise of the streams ``ids`` in the kernels' (steps, m, N) layout.
 
     Every stream is drawn by its own :meth:`NoiseStream.normals` call,
-    through one keyring and into one reused (steps, m) buffer, then
-    copied into its column.  A flow without diffusion (m == 0) draws
-    nothing, so no stream is keyed.
+    through one keyring, into a contiguous row of a reused
+    (``_NOISE_BLOCK``, steps, m) block; each full block is then
+    transposed into its columns of the chunk.  The seed and the id range
+    are checked once, and one NoiseStream is re-pointed at each id.  A
+    flow without diffusion (m == 0) draws nothing, so no stream is keyed.
     """
     out = np.empty((steps, m, len(ids)))
-    if m == 0:
+    if m == 0 or not ids:
         return out
+    stream = NoiseStream(seed, ids[0])
+    _check_seed(ids[-1])
     keyring = _Keyring()
-    buf = np.empty((steps, m))
-    for col, stream_id in enumerate(ids):
-        out[:, :, col] = NoiseStream(seed, stream_id).normals(steps, m, keyring, buf)
+    block = np.empty((_NOISE_BLOCK, steps, m))
+    rows = list(block)
+    for start in range(0, len(ids), _NOISE_BLOCK):
+        width = min(_NOISE_BLOCK, len(ids) - start)
+        for row, stream_id in zip(rows, ids[start:start + width]):
+            stream.stream_id = stream_id
+            stream.normals(steps, m, keyring, row)
+        out[:, :, start:start + width] = block[:width].transpose(1, 2, 0)
     return out
 
 

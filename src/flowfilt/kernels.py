@@ -9,10 +9,16 @@ are (N, steps+1, n), filled in place.
 The accumulation order is part of the contract, because ensemble row i
 must equal a single-particle run bit for bit.  Every product
 ``a @ x + b`` starts at 0.0, adds ``a[j, kk] * x[kk]`` with kk
-ascending and adds b last; the Euler step keeps the order written in its
-comment.  Every operation is elementwise across columns, so a particle's
-result does not depend on the other particles in the block.  Noise is
-never generated here; callers pass precomputed normal draws.
+ascending and adds b last.  Every operation is elementwise across
+columns, so a particle's result does not depend on the other particles
+in the block.  Noise is never generated here; callers pass precomputed
+normal draws.
+
+An Euler-Maruyama step of the linear SDE ``dx = (A x + b) dlam + q dW``
+is the affine map ``x -> M_k x + G_k xi_k + g_k`` with the prescaled
+``M_k = I + dlam_k A_k``, ``G_k = sqrt(dlam_k) q_k`` and
+``g_k = dlam_k b_k``: one contract-order product of ``[M_k | G_k]`` with
+``[x; xi_k]``, plus g_k.
 
 Every drift here is affine, so one classic RK4 step of any deterministic
 solve is an affine map ``y -> T_k y + c_k``.  ``_rk4_maps`` builds the
@@ -30,8 +36,6 @@ is the lexicographically smallest (step, particle) that failed.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -81,26 +85,38 @@ def _first_bad(x, limit):
     return (1 if nonfinite[i] else 2), i
 
 
-def _em(x, a_all, b_all, q_all, noise, dlam, limit, paths):
-    m = q_all.shape[2]
-    drift, xi, tmp = (np.empty_like(x) for _ in range(3))
-    for k in range(dlam.shape[0]):
-        dl = dlam[k]
-        # x + (a x + b) dl, then + (q xi) sqrt(dl)
-        _affine(a_all[k], x, drift, tmp, b_all[k])
-        drift *= dl
-        drift += x
-        if m > 0:
-            _affine(q_all[k], noise[k], xi, tmp)
-            xi *= math.sqrt(dl)
-            np.add(drift, xi, out=x)
-        else:
-            x, drift = drift, x
+def _em(x, coef, g, noise, limit, paths):
+    """Step the (n, N) states through ``x <- M_k x + G_k xi_k + g_k``.
+
+    ``z = [x; xi_k]`` lives in one (n+m, N) buffer and ``coef[k]`` is
+    ``[M_k | G_k]`` transposed to (n+m, n, 1), so one product with
+    ``z[:, None, :]`` forms every term of the step.  The terms are summed
+    into ``x = z[:n]`` from +0.0 with the column index ascending, and g_k
+    comes last.  ``x . x <= limit**2 / 4`` clears every state of a step
+    at once (NaN fails it); the exact test runs only when it fails.
+    """
+    n = x.shape[0]
+    m = coef.shape[1] - n
+    z = np.empty((n + m, x.shape[1]))
+    z[:n] = x
+    x, flat, zs = z[:n], z[:n].reshape(-1), z[:, None, :]
+    prods = np.empty((n + m, n, x.shape[1]))
+    terms, xis = list(prods)[1:], list(noise)
+    clear = 0.25 * limit * limit
+    for k, (c, gk) in enumerate(zip(coef, g)):
+        if m:
+            z[n:] = xis[k]
+        np.multiply(c, zs, out=prods)
+        np.add(prods[0], 0.0, out=x)
+        for term in terms:
+            x += term
+        x += gk
         if paths is not None:
             paths[:, k + 1, :] = x.T
-        code, particle = _first_bad(x, limit)
-        if code:
-            return x, code, k, particle
+        if not np.dot(flat, flat) <= clear:
+            code, particle = _first_bad(x, limit)
+            if code:
+                return x, code, k, particle
     return x, 0, -1, -1
 
 
@@ -186,6 +202,10 @@ def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
                  limit: float = STATE_LIMIT):
     """Euler-Maruyama propagation of an ensemble through all steps.
 
+    The prescaled maps ``[M_k | G_k]`` and ``g_k`` of every step are built
+    once from the arguments, and each step is
+    ``x <- M_k x + G_k xi_k + g_k`` in the contract's order.
+
     Args:
         x0: (N, n) initial states.
         a_all, b_all: (steps, n, n) and (steps, n) drift coefficients at
@@ -202,9 +222,14 @@ def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
     """
     dlam = _contig(dlam)
     x, paths = _columns(x0, dlam.shape[0], record)
-    x, code, step, particle = _em(x, _contig(a_all), _contig(b_all),
-                                  _contig(q_all), _contig(noise), dlam,
-                                  limit, paths)
+    dl = dlam[:, None, None]
+    # [M_k | G_k] with M_k = I + dl A_k and G_k = sqrt(dl) q_k, as
+    # (steps, n+m, n, 1): entry [k, j, i] multiplies z[j] into x[i].
+    coef = np.concatenate([np.eye(x.shape[0]) + dl * _contig(a_all),
+                           np.sqrt(dl) * _contig(q_all)], axis=2)
+    coef = np.ascontiguousarray(coef.transpose(0, 2, 1))[..., None]
+    g = dl * _contig(b_all)[:, :, None]
+    x, code, step, particle = _em(x, coef, g, _contig(noise), limit, paths)
     return np.ascontiguousarray(x.T), paths, code, step, particle
 
 

@@ -460,7 +460,8 @@ def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
             ftcs_ok &= res.verdict
             if res.lambda1 is not None:
                 lambda1 = res.lambda1 if lambda1 is None else max(lambda1, res.lambda1)
-        return bool(fts_ok), bool(ftcs_ok), lambda1
+        # A lambda1 is reported only when every direction has entered.
+        return bool(fts_ok), bool(ftcs_ok), lambda1 if ftcs_ok else None
 
     # Each grid's transition matrices serve both its deterministic
     # verdicts and its Monte Carlo check.

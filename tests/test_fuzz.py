@@ -24,6 +24,7 @@ from flowfilt import (
 )
 from flowfilt.estimation import sample_prior
 from flowfilt.flows import affine_tables
+from flowfilt import integrate
 from flowfilt.integrate import build_tables
 
 SEED = 20241018
@@ -104,6 +105,48 @@ def test_rk4_ensemble_matches_particles_and_the_stagewise_scheme(cases):
         ref = _stagewise_rk4(tables, start.particles)
         err = np.abs(end.particles - ref).max() / np.abs(ref).max()
         assert err <= 1e-12, (index, err)
+
+
+def _chunked_run(monkeypatch, chunk, per_particle, run):
+    """``run()`` with the chunk budget set to ``chunk`` particles, and the
+    widths of the noise chunks it drew."""
+    widths = []
+    noise_chunk = integrate._noise_chunk
+
+    def recording(seed, ids, steps, m):
+        widths.append(len(ids))
+        return noise_chunk(seed, ids, steps, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrate, "_CHUNK_BUDGET", chunk * per_particle)
+        patch.setattr(integrate, "_noise_chunk", recording)
+        return run(), widths
+
+
+def test_em_ensemble_matches_particles_and_any_chunking(cases, monkeypatch):
+    for index, (prior, meas, presets, steps) in enumerate(cases):
+        grid = LambdaGrid.uniform(steps)
+        start = sample_prior(66, prior, seed=index)
+        for kind in ("fixed_q", "constant_q", "diagnostic"):
+            params = presets[kind]
+            tables = build_tables(params, grid, prior, meas)
+            end = propagate_ensemble(start, params, grid, prior, meas)
+            for i in (0, 1, 62, 63, 64, 65):
+                path = propagate_particle(start.particles[i], params, grid,
+                                          NoiseStream(index, i), prior, meas,
+                                          tables=tables)
+                assert path.states[-1].tobytes() == end.particles[i].tobytes(), \
+                    (index, kind, i)
+            per_particle = steps * max(tables.m_max, 1)
+            for chunk, ens, widths in ((1, sample_prior(3, prior, seed=index), [1] * 3),
+                                       (63, start, [63, 3]), (64, start, [64, 2]),
+                                       (65, start, [65, 1])):
+                got, seen = _chunked_run(
+                    monkeypatch, chunk, per_particle,
+                    lambda: propagate_ensemble(ens, params, grid, prior, meas))
+                assert seen == widths
+                want = end.particles[:ens.particles.shape[0]]
+                assert got.particles.tobytes() == want.tobytes(), (index, kind, chunk)
 
 
 def _exhaustive(phi, s_weight, x0, beta):

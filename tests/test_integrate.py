@@ -54,6 +54,40 @@ def test_rekeyed_generator_draws_the_fresh_stream():
         assert np.array_equal(chunk[:, :, col], NoiseStream(11, stream_id).normals(6, 3))
 
 
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("first", [0, 9])
+def test_noise_chunk_stacks_each_streams_block(width, first):
+    ids = range(first, first + width)
+    chunk = integrate._noise_chunk(13, ids, 5, 2)
+    expected = np.stack([NoiseStream(13, i).normals(5, 2) for i in ids], axis=2)
+    assert chunk.shape == (5, 2, width)
+    assert chunk.tobytes() == expected.tobytes()
+
+
+def test_noise_chunk_draws_once_per_stream(monkeypatch):
+    seen = []
+    normals = NoiseStream.normals
+
+    def counting(self, steps, m, gen=None, out=None):
+        seen.append((self.seed, self.stream_id, steps, m))
+        return normals(self, steps, m, gen, out)
+
+    monkeypatch.setattr(NoiseStream, "normals", counting)
+    integrate._noise_chunk(13, range(3, 134), 4, 2)
+    assert seen == [(13, i, 4, 2) for i in range(3, 134)]
+    seen.clear()
+    # Without diffusion nothing is drawn and no stream is keyed.
+    assert integrate._noise_chunk(13, range(3, 134), 4, 0).shape == (4, 0, 131)
+    assert seen == []
+
+
+def test_noise_chunk_checks_the_seed_and_the_id_range():
+    for seed, ids in ((-1, range(3)), (2**64, range(3)), (1, range(2**64 - 1, 2**64 + 1)),
+                      (1, range(-1, 2))):
+        with pytest.raises(ValueError, match="64-bit"):
+            integrate._noise_chunk(seed, ids, 4, 2)
+
+
 def test_normals_fill_the_callers_buffer():
     buf = np.full((7, 3), np.nan)
     got = NoiseStream(8, 5).normals(7, 3, out=buf)

@@ -21,6 +21,30 @@ def _affine_ref(a, b, x):
 
 
 def _em_ref(x0, a_all, b_all, q_all, noise, dlam):
+    """The prescaled step ``x <- M x + G xi + g`` one entry at a time, with
+    ``M = I + dl A``, ``G = sqrt(dl) q`` and ``g = dl b``: each entry
+    starts at 0.0, adds the terms of ``[x; xi]`` in ascending order and
+    adds g last."""
+    n_particles, n = x0.shape
+    steps, m = dlam.shape[0], q_all.shape[2]
+    paths = np.empty((n_particles, steps + 1, n))
+    for i in range(n_particles):
+        x = list(x0[i])
+        paths[i, 0] = x
+        for k in range(steps):
+            dl = dlam[k]
+            sdl = math.sqrt(dl)
+            rows = [[(1.0 if j == kk else 0.0) + dl * a_all[k, j, kk]
+                     for kk in range(n)]
+                    + [sdl * q_all[k, j, l] for l in range(m)] for j in range(n)]
+            x = _affine_ref(np.array(rows), [dl * b for b in b_all[k]],
+                            x + list(noise[k, :, i]))
+            paths[i, k + 1] = x
+    return paths
+
+
+def _em_formula_ref(x0, a_all, b_all, q_all, noise, dlam):
+    """``x + (A x + b) dl + (q xi) sqrt(dl)`` one entry at a time."""
     n_particles, n = x0.shape
     steps, m = dlam.shape[0], q_all.shape[2]
     paths = np.empty((n_particles, steps + 1, n))
@@ -143,6 +167,24 @@ def test_em_matches_scalar_reference_bitwise(m, record):
         assert _same_bits(paths, expected)
     else:
         assert paths is None
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("m", [0, 2])
+def test_em_matches_the_unscaled_formula(m, record):
+    # The prescaled maps round differently from the step written as
+    # x + (A x + b) dl + (q xi) sqrt(dl), by a few ulps per step.
+    c = _block(m)
+    steps = c["dlam"].shape[0]
+    expected = _em_formula_ref(c["x0"], c["a"][:steps], c["b"][:steps], c["q"],
+                               c["noise"], c["dlam"])
+    states, paths, code, step, particle = em_propagate(
+        c["x0"], c["a"][:steps], c["b"][:steps], c["q"], c["noise"], c["dlam"],
+        record=record)
+    assert (code, step, particle) == (0, -1, -1)
+    assert_allclose(states, expected[:, -1], rtol=1e-12)
+    if record:
+        assert_allclose(paths, expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -298,4 +340,63 @@ def test_rk4_overflow_matches_the_per_step_kernel(overflow_step, particle, recor
     expected = _rk4_per_step_outcome(x0, a, b, a_mids, b_mids, dlam)
     assert expected == (2, overflow_step, particle)
     got = rk4_propagate(x0, a, b, a_mids, b_mids, dlam, record=record)
+    assert got[2:] == expected
+
+
+def _em_per_step_outcome(x0, a_all, b_all, q_all, noise, dlam, limit=STATE_LIMIT):
+    """(code, step, particle) of the scalar prescaled steps, every particle
+    tested after every step, the smallest failing pair first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        paths = _em_ref(x0, a_all, b_all, q_all, noise, dlam)
+    for k in range(dlam.shape[0]):
+        x = paths[:, k + 1].T
+        nonfinite = ~np.isfinite(x).all(axis=0)
+        bad = nonfinite | (np.abs(x) > limit).any(axis=0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            return (1 if nonfinite[i] else 2), k, i
+    return 0, -1, -1
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_em_large_sum_of_squares_within_the_limit_does_not_diverge(record):
+    # Sum x^2 is far above limit^2 / 4, so the screen fails every step,
+    # yet no coordinate ever passes the limit.
+    steps, n, m = 5, 3, 2
+    a_all = np.zeros((steps, n, n))
+    b_all = np.zeros((steps, n))
+    q_all = np.ones((steps, n, m))
+    noise = np.ones((steps, m, 4))
+    dlam = np.full(steps, 0.25)
+    x0 = np.full((4, n), 0.9 * STATE_LIMIT)
+    x0[1, 0] = -STATE_LIMIT
+    assert (x0 ** 2).sum() > 0.25 * STATE_LIMIT ** 2
+    expected = _em_ref(x0, a_all, b_all, q_all, noise, dlam)
+    assert np.abs(expected).max() <= STATE_LIMIT
+    states, paths, code, step, particle = em_propagate(
+        x0, a_all, b_all, q_all, noise, dlam, record=record)
+    assert (code, step, particle) == (0, -1, -1)
+    assert _same_bits(states, expected[:, -1])
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("failure", ["limit", "nan", "inf"])
+@pytest.mark.parametrize("inject_step, particle", [(0, 3), (3, 0), (5, 2), (11, 4)])
+def test_em_injected_failure_matches_the_per_step_reference(inject_step, particle,
+                                                            failure, record):
+    steps, n, m = 12, 3, 2
+    rng = np.random.default_rng(11)
+    a_all = 0.3 * rng.standard_normal((steps, n, n))
+    b_all = rng.standard_normal((steps, n))
+    q_all = rng.standard_normal((steps, n, m))
+    noise = rng.standard_normal((steps, m, 6))
+    dlam = rng.uniform(0.05, 0.2, steps)
+    x0 = rng.standard_normal((6, n))
+    # One draw of particle j carries the failure into its state at the
+    # injected step; no other particle fails.
+    noise[inject_step, 1, particle] = {"limit": 1e15, "nan": np.nan,
+                                       "inf": np.inf}[failure]
+    expected = _em_per_step_outcome(x0, a_all, b_all, q_all, noise, dlam)
+    assert expected == (2 if failure == "limit" else 1, inject_step, particle)
+    got = em_propagate(x0, a_all, b_all, q_all, noise, dlam, record=record)
     assert got[2:] == expected

@@ -428,3 +428,26 @@ def test_check_ftss_forms_only_the_points_the_lyapunov_bound_cannot_clear(make_m
     assert res.verdict
     # The (n_mc, steps+1) node forms of every point alone would take 16 MB.
     assert peak < n_mc * (grid.steps + 1) * 8 / 4
+
+
+def test_failed_ftcs_verdict_reports_no_lambda1(monkeypatch):
+    # The observed direction contracts below beta_c; the unobserved one
+    # keeps its S-norm, never enters, and makes the verdict False.
+    prior = GaussianPrior(np.zeros(2), np.eye(2))
+    meas = LinearMeasurement(np.array([[1.0, 0.0]]), np.array([[0.01]]),
+                             np.array([0.5]))
+    params = preset("exact", prior, meas)
+    monkeypatch.setattr(stability, "_ellipsoid_points",
+                        lambda count, s_weight, seed: np.eye(2))
+    grid = LambdaGrid.uniform(100)
+    report = build_stability_report(params, prior, meas, grid, n_mc=200,
+                                    n_directions=2, seed=0)
+    alpha = report.ftcs.alpha
+    entered = [check_ftcs(error_trajectory(np.sqrt(0.999 * alpha) * e,
+                                           np.zeros(2), params, grid, prior, meas),
+                          alpha, report.ftcs.beta, report.ftcs.gamma, prior.precision)
+               for e in np.eye(2)]
+    assert entered[0].verdict and entered[0].lambda1 is not None
+    assert not entered[1].verdict
+    assert report.ftcs.verdict is False
+    assert report.ftcs.lambda1 is None
