@@ -193,7 +193,8 @@ def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
             per step).  Unused rows are never drawn for the
             deterministic scheme.
         prior, meas: the model.
-        tables: optional precomputed coefficients for this grid.
+        tables: optional precomputed coefficients for this grid; tables
+            built for another scheme or other step sizes raise ValueError.
 
     Returns:
         ParticlePath with ``steps + 1`` states.
@@ -203,6 +204,11 @@ def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
         raise ValueError(f"x0 must have shape {(prior.n,)}, got {x0.shape}")
     if tables is None:
         tables = build_tables(params, grid, prior, meas)
+    elif tables.scheme != grid.scheme:
+        raise ValueError(f"tables were built for the {tables.scheme} scheme, "
+                         f"but the grid uses {grid.scheme}")
+    elif not np.array_equal(tables.dlam, grid.dlam):
+        raise ValueError("tables were built on a grid with other step sizes")
     if tables.scheme == "rk4":
         _, paths, code, step, particle = kernels.rk4_propagate(
             x0[None, :], tables.a_nodes, tables.b_nodes,

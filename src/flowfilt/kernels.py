@@ -17,8 +17,17 @@ normal draws.
 An Euler-Maruyama step of the linear SDE ``dx = (A x + b) dlam + q dW``
 is the affine map ``x -> M_k x + G_k xi_k + g_k`` with the prescaled
 ``M_k = I + dlam_k A_k``, ``G_k = sqrt(dlam_k) q_k`` and
-``g_k = dlam_k b_k``: one contract-order product of ``[M_k | G_k]`` with
-``[x; xi_k]``, plus g_k.
+``g_k = dlam_k b_k``, so a whole run is affine in the start and the
+noise: ``x_N = Phi_N x_0 + sum_j W_j xi_j + d_N`` with
+``W_j = M_{N-1} ... M_{j+1} G_j``.  The EM ensemble chains the
+augmented maps backwards once into ``C = [Phi_N | W_0 ... W_{N-1}]`` and
+``d_N`` and applies them to every column as one contract-order sum over
+``[x_0; xi_0; ...; xi_{N-1}]``.  Divergence is screened per particle by
+a bound ``alpha max|x_0| + beta max|xi| + gamma`` on all of its states;
+a particle the bound does not clear is stepped through the maps one at
+a time, which names the smallest failing (step, particle).  A recorded
+run steps every particle for its path and keeps the collapsed terminal
+at the last node of each particle the bound clears.
 
 Every drift here is affine, so one classic RK4 step of any deterministic
 solve is an affine map ``y -> T_k y + c_k``.  ``_rk4_maps`` builds the
@@ -85,8 +94,10 @@ def _first_bad(x, limit):
     return (1 if nonfinite[i] else 2), i
 
 
-def _em(x, coef, g, noise, limit, paths):
-    """Step the (n, N) states through ``x <- M_k x + G_k xi_k + g_k``.
+def _em(x, mk, gk, g, noise, limit, paths):
+    """Step the (n, N) states through ``x <- M_k x + G_k xi_k + g_k``,
+    given the (steps, n, n), (steps, n, m) and (steps, n) stacks of
+    ``M_k``, ``G_k`` and ``g_k``.
 
     ``z = [x; xi_k]`` lives in one (n+m, N) buffer and ``coef[k]`` is
     ``[M_k | G_k]`` transposed to (n+m, n, 1), so one product with
@@ -95,22 +106,24 @@ def _em(x, coef, g, noise, limit, paths):
     comes last.  ``x . x <= limit**2 / 4`` clears every state of a step
     at once (NaN fails it); the exact test runs only when it fails.
     """
-    n = x.shape[0]
-    m = coef.shape[1] - n
+    n, m = gk.shape[1:]
+    coef = np.concatenate([mk, gk], axis=2)
+    coef = np.ascontiguousarray(coef.transpose(0, 2, 1))[..., None]
+    g = g[:, :, None]
     z = np.empty((n + m, x.shape[1]))
     z[:n] = x
     x, flat, zs = z[:n], z[:n].reshape(-1), z[:, None, :]
     prods = np.empty((n + m, n, x.shape[1]))
     terms, xis = list(prods)[1:], list(noise)
     clear = 0.25 * limit * limit
-    for k, (c, gk) in enumerate(zip(coef, g)):
+    for k, (c, offset) in enumerate(zip(coef, g)):
         if m:
             z[n:] = xis[k]
         np.multiply(c, zs, out=prods)
         np.add(prods[0], 0.0, out=x)
         for term in terms:
             x += term
-        x += gk
+        x += offset
         if paths is not None:
             paths[:, k + 1, :] = x.T
         if not np.dot(flat, flat) <= clear:
@@ -184,6 +197,98 @@ def _chain(t, y0, c=None, limit=STATE_LIMIT):
     return y, -1
 
 
+def _em_collapse(mk, gk, g):
+    """A whole Euler-Maruyama run as one affine map of ``[x_0; xi]``.
+
+    Returns ``ct``, the transpose of ``C = [Phi_N | W_0 ... W_{N-1}]``
+    with ``W_j = M_{N-1} ... M_{j+1} G_j``, as (n + steps m, n), and
+    ``d_N``, so that ``x_N = C [x_0; xi_0; ...; xi_{N-1}] + d_N``; or
+    (None, None) when the chained maps leave the finite range.  The
+    augmented maps ``[[M_k, g_k], [0, 1]]`` are chained backwards, as
+    transposes, so ``tails[k]`` is ``(A_{N-1} ... A_{N-k})^T``.
+    """
+    steps, n, m = gk.shape
+    aug = np.zeros((steps, n + 1, n + 1))
+    aug[:, :n, :n] = mk[::-1].transpose(0, 2, 1)
+    aug[:, n, :n] = g[::-1]
+    aug[:, n, n] = 1.0
+    tails, bad = _chain(aug, np.eye(n + 1), limit=np.finfo(np.float64).max)
+    if bad >= 0:
+        return None, None
+    ct = np.empty((n + steps * m, n))
+    ct[:n] = tails[steps, :n, :n]
+    ct[n:] = np.matmul(gk.transpose(0, 2, 1),
+                       tails[steps - 1::-1, :n, :n]).reshape(steps * m, n)
+    return ct, tails[steps, n, :n]
+
+
+def _em_bound(mk, gk, g):
+    """Largest ``alpha_k``, ``beta_k`` and ``gamma_k`` of the recursions
+    ``alpha_{k+1} = |M_k| alpha_k``, ``beta_{k+1} = |M_k| beta_k + |G_k|``
+    and ``gamma_{k+1} = |M_k| gamma_k + |g_k|`` (infinity norms, from 1, 0
+    and 0), so that every EM state of a particle satisfies
+    ``|x_k| <= alpha max|x_0| + beta max|xi| + gamma``.  A NaN norm makes
+    the result NaN.
+    """
+    norms = zip(np.abs(mk).sum(axis=2).max(axis=1).tolist(),
+                np.abs(gk).sum(axis=2).max(axis=1).tolist(),
+                np.abs(g).max(axis=1).tolist())
+    alpha, beta, gamma = 1.0, 0.0, 0.0
+    seen = [(alpha, beta, gamma)]
+    # Python floats: an overflow gives inf and never a warning.
+    for m_norm, g_norm, b_norm in norms:
+        alpha, beta, gamma = (m_norm * alpha, m_norm * beta + g_norm,
+                              m_norm * gamma + b_norm)
+        seen.append((alpha, beta, gamma))
+    return np.max(seen, axis=0)
+
+
+def _em_flagged(x, xi, coeffs, limit):
+    """Particles whose bound ``alpha max|x_0,i| + beta max_j|xi_j,i| + gamma``
+    is not within ``limit / 2`` (NaN counts as not).
+
+    The bound rises with both maxima, so one chunk-wide bound that passes
+    clears every particle.  Its noise maximum is the root of the sum of
+    squares, raised by 1e-6 to cover that sum's rounding.
+    """
+    alpha, beta, gamma = coeffs
+    half = 0.5 * limit
+    flat = xi.reshape(-1)
+    noise_max = np.sqrt(np.dot(flat, flat)) * (1.0 + 1e-6)
+    if alpha * np.abs(x).max(initial=0.0) + beta * noise_max + gamma <= half:
+        return np.zeros(x.shape[1], dtype=bool)
+    x_max = np.maximum(x.max(axis=0), -x.min(axis=0))
+    xi_max = np.maximum(xi.max(axis=0, initial=0.0), -xi.min(axis=0, initial=0.0))
+    return ~(alpha * x_max + beta * xi_max + gamma <= half)
+
+
+# Entries of the product buffer of ``_em_apply`` (512 KB, so it stays in
+# cache between the multiply and the adds).
+_TERM_BLOCK = 1 << 16
+
+
+def _em_apply(ct, d, x, xi, out):
+    """``out = C [x; xi] + d`` for every column, in the contract's order.
+
+    Each entry starts at +0.0 and adds its terms with the index of
+    ``[x; xi]`` ascending, then d.  The products of a block of terms are
+    formed by one multiply; the sum stays one term at a time.
+    """
+    n = x.shape[0]
+    per = max(1, _TERM_BLOCK // max(out.size, 1))
+    prods = np.empty((min(per, ct.shape[0]), *out.shape))
+    out[...] = 0.0
+    for coef, z in ((ct[:n], x), (ct[n:], xi)):
+        for start in range(0, z.shape[0], per):
+            stop = min(start + per, z.shape[0])
+            block = prods[:stop - start]
+            np.multiply(coef[start:stop, :, None], z[start:stop, None, :],
+                        out=block)
+            for term in block:
+                out += term
+    out += d[:, None]
+
+
 def _contig(a):
     return np.ascontiguousarray(a, dtype=np.float64)
 
@@ -202,9 +307,20 @@ def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
                  limit: float = STATE_LIMIT):
     """Euler-Maruyama propagation of an ensemble through all steps.
 
-    The prescaled maps ``[M_k | G_k]`` and ``g_k`` of every step are built
-    once from the arguments, and each step is
-    ``x <- M_k x + G_k xi_k + g_k`` in the contract's order.
+    The prescaled maps ``M_k``, ``G_k`` and ``g_k`` of every step are
+    built once from the arguments and collapsed by :func:`_em_collapse`
+    into ``x_N = C [x_0; xi_0; ...; xi_{N-1}] + d_N``, which
+    :func:`_em_apply` applies to every column in the contract's order.
+
+    Divergence is judged per particle by the bound of
+    :func:`_em_bound`: a particle whose bound stays within ``limit / 2``
+    cannot leave the limit at any step.  Every other particle, and every
+    particle when the chained maps are not finite, is stepped through
+    ``x <- M_k x + G_k xi_k + g_k`` by :func:`_em`, which names the
+    smallest failing (step, particle).  With ``record``, every particle
+    is stepped for the path, and the last node holds the collapsed
+    terminal unless the particle was flagged, so a particle's result
+    depends only on its own data.
 
     Args:
         x0: (N, n) initial states.
@@ -222,15 +338,36 @@ def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
     """
     dlam = _contig(dlam)
     x, paths = _columns(x0, dlam.shape[0], record)
+    noise = _contig(noise)
     dl = dlam[:, None, None]
-    # [M_k | G_k] with M_k = I + dl A_k and G_k = sqrt(dl) q_k, as
-    # (steps, n+m, n, 1): entry [k, j, i] multiplies z[j] into x[i].
-    coef = np.concatenate([np.eye(x.shape[0]) + dl * _contig(a_all),
-                           np.sqrt(dl) * _contig(q_all)], axis=2)
-    coef = np.ascontiguousarray(coef.transpose(0, 2, 1))[..., None]
-    g = dl * _contig(b_all)[:, :, None]
-    x, code, step, particle = _em(x, coef, g, _contig(noise), limit, paths)
-    return np.ascontiguousarray(x.T), paths, code, step, particle
+    mk = np.eye(x.shape[0]) + dl * _contig(a_all)
+    gk = np.sqrt(dl) * _contig(q_all)
+    g = dl[:, :, 0] * _contig(b_all)
+    xi = noise.reshape(-1, noise.shape[2])  # row k m + l is xi_k[l]
+    out = np.empty_like(x)
+    # An overflow is reported through the divergence code, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ct, d = _em_collapse(mk, gk, g)
+        if ct is None:
+            flagged = np.ones(x.shape[1], dtype=bool)
+        else:
+            flagged = _em_flagged(x, xi, _em_bound(mk, gk, g), limit)
+            _em_apply(ct, d, x, xi, out)
+        code, step, particle = 0, -1, -1
+        if record:
+            last, code, step, particle = _em(x, mk, gk, g, noise, limit, paths)
+            if code:
+                out = last
+            else:
+                out[:, flagged] = last[:, flagged]
+                paths[:, -1, :] = out.T
+        elif flagged.any():
+            idx = np.flatnonzero(flagged)
+            out[:, idx], code, step, particle = _em(x[:, idx], mk, gk, g,
+                                                    noise[:, :, idx], limit, None)
+            if code:
+                particle = int(idx[particle])
+    return np.ascontiguousarray(out.T), paths, code, step, particle
 
 
 def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,

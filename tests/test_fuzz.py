@@ -149,6 +149,36 @@ def test_em_ensemble_matches_particles_and_any_chunking(cases, monkeypatch):
                 assert got.particles.tobytes() == want.tobytes(), (index, kind, chunk)
 
 
+def test_em_collapsed_terminal_stays_near_the_stepwise_one(cases, monkeypatch):
+    stepwise = kernels._em
+    calls = []
+
+    def spy(x, *args):
+        calls.append(x.shape[1])
+        return stepwise(x, *args)
+
+    monkeypatch.setattr(kernels, "_em", spy)
+    for index, (prior, meas, presets, steps) in enumerate(cases):
+        grid = LambdaGrid.uniform(steps)
+        start = sample_prior(64, prior, seed=index)
+        for kind in ("fixed_q", "constant_q", "diagnostic"):
+            tables = build_tables(presets[kind], grid, prior, meas)
+            args = (start.particles, tables.a_nodes, tables.b_nodes,
+                    tables.q_factors,
+                    integrate._noise_chunk(index, range(64), steps, tables.m_max),
+                    tables.dlam)
+            collapsed = kernels.em_propagate(*args)
+            assert calls == [], (index, kind)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "_em_flagged",
+                              lambda x, *rest: np.ones(x.shape[1], dtype=bool))
+                stepped = kernels.em_propagate(*args)
+            assert calls.pop() == 64
+            assert collapsed[2:] == stepped[2:] == (0, -1, -1)
+            err = np.abs(collapsed[0] - stepped[0]).max() / np.abs(stepped[0]).max()
+            assert err <= 1e-13, (index, kind, err)
+
+
 def _exhaustive(phi, s_weight, x0, beta):
     v = stability._node_quad(phi, s_weight, x0)
     return int(np.count_nonzero(np.all(v <= beta, axis=1)))

@@ -12,6 +12,7 @@ from flowfilt import (
     LinearMeasurement,
     NoiseStream,
     closed_form_posterior,
+    kernels,
     preset,
     propagate_ensemble,
     propagate_particle,
@@ -282,6 +283,92 @@ def test_propagate_particle_rejects_wrong_dimension(canonical):
     with pytest.raises(ValueError, match="shape"):
         propagate_particle(np.zeros(2), params, grid, NoiseStream(0, 0),
                            prior, meas)
+
+
+def test_propagate_particle_rejects_tables_of_another_grid(canonical):
+    prior, meas = canonical
+    params = preset("fixed_q", prior, meas)
+    uniform = LambdaGrid.uniform(10)
+    geometric = LambdaGrid(np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 10)]))
+    tables = build_tables(params, uniform, prior, meas)
+    with pytest.raises(ValueError, match="step sizes"):
+        propagate_particle(np.zeros(1), params, geometric, NoiseStream(0, 0),
+                           prior, meas, tables=tables)
+    rk4 = LambdaGrid.uniform(10, scheme="rk4")
+    with pytest.raises(ValueError, match="scheme"):
+        propagate_particle(np.zeros(1), params, rk4, NoiseStream(0, 0),
+                           prior, meas, tables=tables)
+    exact = preset("exact", prior, meas)
+    with pytest.raises(ValueError, match="scheme"):
+        propagate_particle(np.zeros(1), exact, uniform, NoiseStream(0, 0), prior,
+                           meas, tables=build_tables(exact, rk4, prior, meas))
+
+
+def _stepwise_spy(monkeypatch):
+    """Record the width of every call to the stepwise EM kernel."""
+    widths = []
+    stepwise = kernels._em
+
+    def spy(x, *args):
+        widths.append(x.shape[1])
+        return stepwise(x, *args)
+
+    monkeypatch.setattr(kernels, "_em", spy)
+    return widths
+
+
+def test_flagged_particle_among_ordinary_ones_is_stepped_alone(monkeypatch,
+                                                               make_model):
+    from flowfilt import ParticleEnsemble
+
+    prior, meas = make_model(np.random.default_rng(25), 2, 1)
+    params = preset("fixed_q", prior, meas)
+    grid = LambdaGrid.uniform(40)
+    particles = sample_prior(6, prior, seed=8).particles.copy()
+    # max|x_0| alone passes limit / 2, so the bound flags this particle,
+    # but the flow contracts it and no state reaches the limit.
+    particles[3] = [0.6 * kernels.STATE_LIMIT, -0.4 * kernels.STATE_LIMIT]
+    ens = ParticleEnsemble(particles, lam=0.0, seed=8)
+    widths = _stepwise_spy(monkeypatch)
+    out = propagate_ensemble(ens, params, grid, prior, meas)
+    assert widths == [1]
+    solo = propagate_particle(particles[3], params, grid, NoiseStream(8, 3),
+                              prior, meas)
+    assert np.abs(solo.states).max() < kernels.STATE_LIMIT
+    assert solo.terminal.tobytes() == out.particles[3].tobytes()
+    # Every particle through the stepwise kernel: the flagged row is the
+    # same, and the others are the collapsed map's.
+    monkeypatch.setattr(kernels, "_em_flagged",
+                        lambda x, *args: np.ones(x.shape[1], dtype=bool))
+    stepped = propagate_ensemble(ens, params, grid, prior, meas)
+    assert stepped.particles[3].tobytes() == out.particles[3].tobytes()
+    assert_allclose(stepped.particles, out.particles, rtol=1e-13)
+
+
+def test_benchmark_models_never_take_the_stepwise_path(monkeypatch, make_model):
+    from flowfilt import SequentialScenario, run_sequential
+
+    widths = _stepwise_spy(monkeypatch)
+    # A stochastic update of the update_em kind: n=4, d=2, fixed_q, 500 steps.
+    rng = np.random.default_rng(26)
+    grid = LambdaGrid.uniform(500)
+    for seed in range(4):
+        prior, meas = make_model(rng, 4, 2)
+        ens = sample_prior(200, prior, seed=seed)
+        propagate_ensemble(ens, preset("fixed_q", prior, meas), grid, prior, meas)
+    # The track model: a 2-D constant-velocity target, position measured,
+    # fixed_q on 200 steps.
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    prior = GaussianPrior(np.array([0.3, -0.2, 0.1, 0.05]),
+                          np.diag([1.0, 1.0, 0.1, 0.1]))
+    meas = LinearMeasurement(np.hstack([eye, zero]), eye, np.zeros(2))
+    scenario = SequentialScenario(
+        F=np.block([[eye, eye], [zero, eye]]),
+        W=0.1 * np.block([[eye / 3, eye / 2], [eye / 2, eye]]),
+        n_steps=10, truth_seed=5)
+    run_sequential(prior, meas, preset("fixed_q", prior, meas),
+                   LambdaGrid.uniform(200), scenario, 100, 6)
+    assert widths == []
 
 
 def test_indefinite_diffusion_on_the_grid_names_its_left_node(make_model):

@@ -1,12 +1,14 @@
 """The column-major kernels against scalar per-particle reference loops."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flowfilt.kernels import STATE_LIMIT, _rk4_maps, em_propagate, rk4_propagate
+from flowfilt.kernels import (STATE_LIMIT, _em_flagged, _rk4_maps, em_propagate,
+                             rk4_propagate)
 
 
 def _affine_ref(a, b, x):
@@ -20,26 +22,67 @@ def _affine_ref(a, b, x):
     return out
 
 
-def _em_ref(x0, a_all, b_all, q_all, noise, dlam):
-    """The prescaled step ``x <- M x + G xi + g`` one entry at a time, with
-    ``M = I + dl A``, ``G = sqrt(dl) q`` and ``g = dl b``: each entry
-    starts at 0.0, adds the terms of ``[x; xi]`` in ascending order and
-    adds g last."""
+def _em_maps(a_all, b_all, q_all, dlam):
+    """The prescaled ``M = I + dl A``, ``G = sqrt(dl) q`` and ``g = dl b`` of
+    every step, one entry at a time."""
+    steps, n, m = q_all.shape
+    mk, gk, g = np.empty((steps, n, n)), np.empty((steps, n, m)), np.empty((steps, n))
+    for k in range(steps):
+        dl = dlam[k]
+        sdl = math.sqrt(dl)
+        for j in range(n):
+            for kk in range(n):
+                mk[k, j, kk] = (1.0 if j == kk else 0.0) + dl * a_all[k, j, kk]
+            for l in range(m):
+                gk[k, j, l] = sdl * q_all[k, j, l]
+            g[k, j] = dl * b_all[k, j]
+    return mk, gk, g
+
+
+def _em_step_ref(x0, a_all, b_all, q_all, noise, dlam):
+    """The prescaled step ``x <- M x + G xi + g`` one entry at a time: each
+    entry starts at 0.0, adds the terms of ``[x; xi]`` in ascending order
+    and adds g last."""
+    mk, gk, g = _em_maps(a_all, b_all, q_all, dlam)
     n_particles, n = x0.shape
-    steps, m = dlam.shape[0], q_all.shape[2]
+    steps = dlam.shape[0]
     paths = np.empty((n_particles, steps + 1, n))
     for i in range(n_particles):
         x = list(x0[i])
         paths[i, 0] = x
         for k in range(steps):
-            dl = dlam[k]
-            sdl = math.sqrt(dl)
-            rows = [[(1.0 if j == kk else 0.0) + dl * a_all[k, j, kk]
-                     for kk in range(n)]
-                    + [sdl * q_all[k, j, l] for l in range(m)] for j in range(n)]
-            x = _affine_ref(np.array(rows), [dl * b for b in b_all[k]],
+            x = _affine_ref(np.concatenate([mk[k], gk[k]], axis=1), g[k],
                             x + list(noise[k, :, i]))
             paths[i, k + 1] = x
+    return paths
+
+
+def _em_collapsed_map(a_all, b_all, q_all, dlam):
+    """``C = [Phi_N | W_0 ... W_{N-1}]`` and ``d_N`` of ``x_N = C z + d_N``,
+    from the transposed augmented maps chained backwards one step at a
+    time; ``W_j`` is ``G_j`` behind the maps of the later steps."""
+    mk, gk, g = _em_maps(a_all, b_all, q_all, dlam)
+    steps, n, m = gk.shape
+    aug = np.zeros((steps, n + 1, n + 1))
+    aug[:, :n, :n] = mk.transpose(0, 2, 1)
+    aug[:, n, :n], aug[:, n, n] = g, 1.0
+    tails = [np.eye(n + 1)]  # tails[j] = (A_{N-1} ... A_{N-j})^T
+    for k in reversed(range(steps)):
+        tails.append(aug[k] @ tails[-1])
+    w_t = np.matmul(gk.transpose(0, 2, 1), np.stack(tails[steps - 1::-1])[:, :n, :n])
+    return np.concatenate([tails[steps][:n, :n], w_t.reshape(steps * m, n)]).T, \
+        tails[steps][n, :n]
+
+
+def _em_ref(x0, a_all, b_all, q_all, noise, dlam):
+    """The stepwise states of ``_em_step_ref`` at steps 1..N-1, and at the
+    last node each particle alone through the collapsed map: from 0.0,
+    the terms of ``[x_0; xi_0; ...; xi_{N-1}]`` in ascending order, then
+    ``d_N``."""
+    paths = _em_step_ref(x0, a_all, b_all, q_all, noise, dlam)
+    c, d = _em_collapsed_map(a_all, b_all, q_all, dlam)
+    for i in range(x0.shape[0]):
+        paths[i, -1] = _affine_ref(c, d, list(x0[i]) + list(noise[:, :, i].ravel()))
     return paths
 
 
@@ -347,7 +390,7 @@ def _em_per_step_outcome(x0, a_all, b_all, q_all, noise, dlam, limit=STATE_LIMIT
     """(code, step, particle) of the scalar prescaled steps, every particle
     tested after every step, the smallest failing pair first."""
     with np.errstate(over="ignore", invalid="ignore"):
-        paths = _em_ref(x0, a_all, b_all, q_all, noise, dlam)
+        paths = _em_step_ref(x0, a_all, b_all, q_all, noise, dlam)
     for k in range(dlam.shape[0]):
         x = paths[:, k + 1].T
         nonfinite = ~np.isfinite(x).all(axis=0)
@@ -371,7 +414,8 @@ def test_em_large_sum_of_squares_within_the_limit_does_not_diverge(record):
     x0 = np.full((4, n), 0.9 * STATE_LIMIT)
     x0[1, 0] = -STATE_LIMIT
     assert (x0 ** 2).sum() > 0.25 * STATE_LIMIT ** 2
-    expected = _em_ref(x0, a_all, b_all, q_all, noise, dlam)
+    # Every particle is past limit / 2 at the start, so all are stepped.
+    expected = _em_step_ref(x0, a_all, b_all, q_all, noise, dlam)
     assert np.abs(expected).max() <= STATE_LIMIT
     states, paths, code, step, particle = em_propagate(
         x0, a_all, b_all, q_all, noise, dlam, record=record)
@@ -400,3 +444,66 @@ def test_em_injected_failure_matches_the_per_step_reference(inject_step, particl
     assert expected == (2 if failure == "limit" else 1, inject_step, particle)
     got = em_propagate(x0, a_all, b_all, q_all, noise, dlam, record=record)
     assert got[2:] == expected
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_em_overflowing_chain_reports_the_stepwise_failure(record):
+    # Twenty steps of M = 2^-52 I, then six of M = 2^173 I.  The run scales
+    # a state by exactly 1/4, but the products of the later maps pass the
+    # float range (2^1038), so no particle may use the collapsed map, even
+    # particle 0, whose bound clears it.
+    n = 2
+    scale = np.array([2.0 ** -52] * 20 + [2.0 ** 173] * 6)
+    steps = scale.size
+    a_all = (scale - 1.0)[:, None, None] * np.eye(n)
+    b_all = np.zeros((steps, n))
+    q_all = np.zeros((steps, n, 0))
+    noise = np.zeros((steps, 0, 2))
+    dlam = np.ones(steps)
+    x0 = np.array([[1e11, -3e10], [4e13, 1.0]])
+    expected = _em_per_step_outcome(x0, a_all, b_all, q_all, noise, dlam)
+    assert expected == (2, steps - 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = em_propagate(x0, a_all, b_all, q_all, noise, dlam, record=record)
+        alone = em_propagate(x0[:1], a_all, b_all, q_all, noise[:, :, :1], dlam,
+                             record=record)
+    assert got[2:] == expected
+    assert alone[2:] == (0, -1, -1)
+    assert _same_bits(alone[0], 0.25 * x0[:1])
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("step, particle", [(0, 1), (2, 3)])
+def test_em_noise_grown_by_later_maps_is_reported(step, particle, record):
+    steps, n = 8, 2
+    # Each step multiplies the state by exactly 10, so a draw of 1e9 at
+    # the given step passes the limit four steps later.
+    a_all = np.broadcast_to(9.0 * np.eye(n), (steps, n, n))
+    b_all = np.zeros((steps, n))
+    q_all = np.broadcast_to(np.eye(n), (steps, n, n))
+    noise = np.zeros((steps, n, 5))
+    noise[step, 0, particle] = 1e9
+    dlam = np.ones(steps)
+    x0 = np.zeros((5, n))
+    expected = _em_per_step_outcome(x0, a_all, b_all, q_all, noise, dlam)
+    assert expected == (2, step + 4, particle)
+    got = em_propagate(x0, a_all, b_all, q_all, noise, dlam, record=record)
+    assert got[2:] == expected
+
+
+def test_em_chunk_screen_flags_what_the_per_particle_bound_flags():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((3, 40))
+    xi = rng.standard_normal((30, 40))
+    xi[7, 5] = 60.0
+    coeffs = alpha, beta, gamma = 2.0, 3.0, 0.5
+    own = alpha * np.abs(x).max(axis=0) + beta * np.abs(xi).max(axis=0) + gamma
+    # Particle 5 sits exactly at limit / 2 and every other particle far
+    # below it; a NaN draw flags its particle alone.
+    limit = 2.0 * own[5]
+    assert not _em_flagged(x, xi, coeffs, limit).any()
+    assert np.flatnonzero(_em_flagged(x, xi, coeffs,
+                                      limit * (1.0 - 1e-12))).tolist() == [5]
+    xi[2, 9] = np.nan
+    assert np.flatnonzero(_em_flagged(x, xi, coeffs, limit)).tolist() == [9]
