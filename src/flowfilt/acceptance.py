@@ -514,6 +514,10 @@ def _cli_env(threads: int) -> dict:
     env = os.environ.copy()
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
+    # The child imports the flowfilt this process imported, installed or not.
+    source_root = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source_root, env.get("PYTHONPATH")]))
     return env
 
 

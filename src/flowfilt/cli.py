@@ -1,9 +1,10 @@
 """Command-line front end: configured experiment runs and verification.
 
-Exit codes: 0 success, 2 config or model parse failure, 3 admissibility
-failure, 4 propagation divergence, 1 anything else.  On failure a
-machine-readable error record is printed to stderr and, when the output
-directory exists, written to error.json inside it.
+Exit codes: 0 success, 2 config or model parse failure (an option value
+of the wrong type, or one the library rejects as out of range, included),
+3 admissibility failure, 4 propagation divergence, 1 anything else.  On
+failure a machine-readable error record is printed to stderr and, when
+the output directory exists, written to error.json inside it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +48,8 @@ _PRESET_HELP = (
 
 
 def _expect_keys(obj, where: str, required: dict, optional: dict = None) -> dict:
+    """Check the keys of a config block; ``required`` and ``optional`` map
+    each key to the type check of its value, or None."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be a JSON object")
     optional = optional or {}
@@ -55,6 +59,9 @@ def _expect_keys(obj, where: str, required: dict, optional: dict = None) -> dict
     missing = [k for k in required if k not in obj]
     if missing:
         raise ConfigError(f"{where} is missing keys: {sorted(missing)}")
+    for key, check in {**required, **optional}.items():
+        if check is not None and key in obj:
+            check(obj[key], f"{where}.{key}")
     return obj
 
 
@@ -62,6 +69,40 @@ def _as_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def _as_number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_int_list(value, where: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list of integers, got {value!r}")
+    return [_as_int(item, f"{where}[{i}]") for i, item in enumerate(value)]
+
+
+def _as_square_matrix(value, where: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ConfigError(f"{where} must be a square matrix of numbers, got {value!r}")
+    return arr
+
+
+@contextmanager
+def _config_values(where: str):
+    """Report the library's range checks on the values of a config block
+    (a plain ValueError) as a ConfigError naming that block."""
+    try:
+        yield
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -110,7 +151,7 @@ def parse_config(path, seed=None, steps=None, out=None) -> ExperimentConfig:
             )
 
     flow = _expect_keys(raw["flow"], "flow", {"flow": None},
-                        {"Q0": None, "alpha": None})
+                        {"Q0": _as_square_matrix, "alpha": _as_number})
     kind = flow.get("flow")
     if kind not in PRESET_KINDS:
         raise ConfigError(f"flow must be one of {PRESET_KINDS}, got {kind!r}")
@@ -141,18 +182,20 @@ def parse_config(path, seed=None, steps=None, out=None) -> ExperimentConfig:
     consistency = raw.get("consistency", {})
     if experiment == "ensemble_consistency":
         consistency = _expect_keys(consistency, "consistency", {},
-                                   {"n_list": None, "n_seeds": None})
+                                   {"n_list": _as_int_list, "n_seeds": _as_int})
     sequential = raw.get("sequential", {})
     if experiment == "sequential":
         sequential = _expect_keys(
             sequential, "sequential",
-            {"F": None, "W": None, "n_steps": None, "truth_seed": None})
+            {"F": _as_square_matrix, "W": _as_square_matrix,
+             "n_steps": _as_int, "truth_seed": _as_int})
     stability = raw.get("stability", {})
     if experiment == "stability":
         stability = _expect_keys(
             stability, "stability", {},
-            {"alpha": None, "beta": None, "gamma": None, "epsilon": None,
-             "n_mc": None, "seed": None, "ellipsoid_particles": None})
+            {"alpha": _as_number, "beta": _as_number, "gamma": _as_number,
+             "epsilon": _as_number, "n_mc": _as_int, "seed": _as_int,
+             "ellipsoid_particles": _as_int})
 
     model_path = Path(raw["model"])
     if not model_path.is_absolute():
@@ -239,7 +282,8 @@ def _run_consistency(cfg, prior, meas, params, grid, outdir, outputs):
     n_list = cfg.consistency.get("n_list", [100, 1000, 10000])
     n_seeds = cfg.consistency.get("n_seeds", 10)
     seeds = [cfg.seed + i for i in range(int(n_seeds))]
-    table = consistency_sweep(params, prior, meas, grid, n_list, seeds)
+    with _config_values("consistency"):
+        table = consistency_sweep(params, prior, meas, grid, n_list, seeds)
     io.write_consistency_csv(outdir / "consistency.csv", table)
     outputs.append("consistency.csv")
     return {
@@ -252,15 +296,16 @@ def _run_consistency(cfg, prior, meas, params, grid, outdir, outputs):
 
 def _run_stability(cfg, prior, meas, params, grid, outdir, outputs):
     opts = cfg.stability
-    report = build_stability_report(
-        params, prior, meas, grid,
-        alpha=float(opts.get("alpha", 1.0)),
-        beta=float(opts.get("beta", 2.0)),
-        gamma=float(opts.get("gamma", 4.0)),
-        epsilon=float(opts.get("epsilon", 0.25)),
-        n_mc=int(opts.get("n_mc", 2000)),
-        seed=int(opts.get("seed", cfg.seed)),
-    )
+    with _config_values("stability"):
+        report = build_stability_report(
+            params, prior, meas, grid,
+            alpha=float(opts.get("alpha", 1.0)),
+            beta=float(opts.get("beta", 2.0)),
+            gamma=float(opts.get("gamma", 4.0)),
+            epsilon=float(opts.get("epsilon", 0.25)),
+            n_mc=int(opts.get("n_mc", 2000)),
+            seed=int(opts.get("seed", cfg.seed)),
+        )
     from .stability import error_trajectory
 
     scale = np.sqrt(report.fts.alpha)
@@ -278,12 +323,13 @@ def _run_stability(cfg, prior, meas, params, grid, outdir, outputs):
 
 def _run_sequential(cfg, prior, meas, params, grid, outdir, outputs):
     block = cfg.sequential
-    scenario = SequentialScenario(
-        F=np.asarray(block["F"], dtype=float),
-        W=np.asarray(block["W"], dtype=float),
-        n_steps=_as_int(block["n_steps"], "sequential.n_steps"),
-        truth_seed=_as_int(block["truth_seed"], "sequential.truth_seed"),
-    )
+    with _config_values("sequential"):
+        scenario = SequentialScenario(
+            F=np.asarray(block["F"], dtype=float),
+            W=np.asarray(block["W"], dtype=float),
+            n_steps=block["n_steps"],
+            truth_seed=block["truth_seed"],
+        )
     result = run_sequential(prior, meas, params, grid, scenario,
                             cfg.n_particles, cfg.seed)
     io.write_sequential_csv(outdir / "sequential.csv", result)
@@ -312,7 +358,8 @@ def run(config_path, seed=None, steps=None, out=None) -> int:
     try:
         cfg = parse_config(config_path, seed=seed, steps=steps, out=out)
         prior, meas = load_model(cfg.model_path)
-        params = _build_flow(cfg, prior, meas)
+        with _config_values("flow"):
+            params = _build_flow(cfg, prior, meas)
         grid = LambdaGrid.uniform(cfg.steps, cfg.scheme)
 
         outdir = cfg.output_dir

@@ -346,16 +346,12 @@ def _zero_k(lambdas, prior, meas):
 
 
 def exact_flow() -> FlowParameterization:
-    """Zero-diffusion flow: ``K = 1/2 hess_log_h``, Q identically zero."""
-    def q_builder(lambdas, prior, meas):
-        n = prior.n
-        return np.zeros((lambdas.size, n, n))
-
+    """Zero-diffusion flow: ``K = 1/2 hess_log_h``.  The induced Q is
+    exactly zero, because ``K + K^T + H^T R^-1 H`` cancels term by term."""
     return FlowParameterization(
         kind="exact",
         description="deterministic flow with zero diffusion",
         k_builder=_exact_k,
-        q_builder=q_builder,
         analytic_admissible=True,
         descriptor={"flow": "exact"},
     )

@@ -14,14 +14,16 @@ columns, so a particle's result does not depend on the other particles
 in the block.  Noise is never generated here; callers pass precomputed
 normal draws.
 
-An Euler-Maruyama step of the linear SDE ``dx = (A x + b) dlam + q dW``
-is the affine map ``x -> M_k x + G_k xi_k + g_k`` with the prescaled
-``M_k = I + dlam_k A_k``, ``G_k = sqrt(dlam_k) q_k`` and
-``g_k = dlam_k b_k``, so a whole run is affine in the start and the
-noise: ``x_N = Phi_N x_0 + sum_j W_j xi_j + d_N`` with
-``W_j = M_{N-1} ... M_{j+1} G_j``.  The EM ensemble chains the
-augmented maps backwards once into ``C = [Phi_N | W_0 ... W_{N-1}]`` and
-``d_N`` and applies them to every column as one contract-order sum over
+Both schemes run on one engine, ``_affine_run``, because every step of
+either is an affine map ``x -> M_k x + G_k xi_k + g_k`` of the state
+and the noise.  Euler-Maruyama on ``dx = (A x + b) dlam + q dW`` passes
+the prescaled ``M_k = I + dlam_k A_k``, ``G_k = sqrt(dlam_k) q_k`` and
+``g_k = dlam_k b_k``; classic RK4 on a zero-diffusion flow passes its
+maps ``T_k``, ``c_k`` with no noise (m = 0).  A whole run is then affine
+in the start and the noise: ``x_N = Phi_N x_0 + sum_j W_j xi_j + d_N``
+with ``W_j = M_{N-1} ... M_{j+1} G_j``.  The engine chains the augmented
+maps backwards once into ``C = [Phi_N | W_0 ... W_{N-1}]`` and ``d_N``
+and applies them to every column as one contract-order sum over
 ``[x_0; xi_0; ...; xi_{N-1}]``.  Divergence is screened per particle by
 a bound ``alpha max|x_0| + beta max|xi| + gamma`` on all of its states;
 a particle the bound does not clear is stepped through the maps one at
@@ -34,10 +36,7 @@ solve is an affine map ``y -> T_k y + c_k``.  ``_rk4_maps`` builds the
 maps of all steps in one batched pass and is the only RK4 formula, and
 ``_chain`` steps one vector or matrix through them, testing the trusted
 range once per block of steps.  The moment ODEs and the error dynamics
-chain their own solutions; the RK4 ensemble chains the maps themselves
-into ``x_k = Phi_k x_0 + d_k`` and applies the result to its columns
-once, forming a step's states only where a bound on them does not clear
-the limit.
+chain their own solutions through it.
 
 Kernel return convention: ``(code, step, particle)`` where code 0 means
 success, 1 a non-finite state and 2 a norm overflow.  The reported pair
@@ -62,24 +61,6 @@ def active_backend() -> str:  # kept for perfbench/run.py, which reads it
 
 def warmup() -> None:  # kept for perfbench/run.py, which calls it
     pass
-
-
-def _affine(a, x, out, tmp, b=None):
-    """``out = a @ x (+ b)`` for every column of x, in the contract's order.
-
-    ``a`` may be one (n, n) matrix or a stack of them, with ``b`` the
-    matching (n,) or (L, n); a stack fills out (L, n, N), one slice per
-    matrix, each equal to the single-matrix result.
-    """
-    # (a0 x0) + 0.0 equals 0.0 + (a0 x0), signed zeros included, so the
-    # first term goes straight into out.
-    np.multiply(a[..., 0, None], x[0], out=out)
-    out += 0.0
-    for kk in range(1, a.shape[-1]):
-        np.multiply(a[..., kk, None], x[kk], out=tmp)
-        out += tmp
-    if b is not None:
-        out += b[..., None]
 
 
 def _first_bad(x, limit):
@@ -198,7 +179,7 @@ def _chain(t, y0, c=None, limit=STATE_LIMIT):
 
 
 def _em_collapse(mk, gk, g):
-    """A whole Euler-Maruyama run as one affine map of ``[x_0; xi]``.
+    """A whole run of the maps as one affine map of ``[x_0; xi]``.
 
     Returns ``ct``, the transpose of ``C = [Phi_N | W_0 ... W_{N-1}]``
     with ``W_j = M_{N-1} ... M_{j+1} G_j``, as (n + steps m, n), and
@@ -226,7 +207,7 @@ def _em_bound(mk, gk, g):
     """Largest ``alpha_k``, ``beta_k`` and ``gamma_k`` of the recursions
     ``alpha_{k+1} = |M_k| alpha_k``, ``beta_{k+1} = |M_k| beta_k + |G_k|``
     and ``gamma_{k+1} = |M_k| gamma_k + |g_k|`` (infinity norms, from 1, 0
-    and 0), so that every EM state of a particle satisfies
+    and 0), so that every state of a particle satisfies
     ``|x_k| <= alpha max|x_0| + beta max|xi| + gamma``.  A NaN norm makes
     the result NaN.
     """
@@ -293,63 +274,36 @@ def _contig(a):
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-def _columns(x0, steps, record):
-    """(n, N) working copy of the (N, n) states and the recorded paths."""
-    x = np.array(np.atleast_2d(x0).T, dtype=np.float64, order="C")
-    if not record:
-        return x, None
-    paths = np.empty((x.shape[1], steps + 1, x.shape[0]))
-    paths[:, 0, :] = x.T
-    return x, paths
+def _affine_run(x0, mk, gk, g, noise, record, limit):
+    """Propagate the (N, n) states through ``x <- M_k x + G_k xi_k + g_k``,
+    given the (steps, n, n), (steps, n, m) and (steps, n) stacks of
+    ``M_k``, ``G_k`` and ``g_k`` and the (steps, m, N) noise; m may be 0.
 
-
-def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
-                 limit: float = STATE_LIMIT):
-    """Euler-Maruyama propagation of an ensemble through all steps.
-
-    The prescaled maps ``M_k``, ``G_k`` and ``g_k`` of every step are
-    built once from the arguments and collapsed by :func:`_em_collapse`
-    into ``x_N = C [x_0; xi_0; ...; xi_{N-1}] + d_N``, which
-    :func:`_em_apply` applies to every column in the contract's order.
-
-    Divergence is judged per particle by the bound of
-    :func:`_em_bound`: a particle whose bound stays within ``limit / 2``
-    cannot leave the limit at any step.  Every other particle, and every
-    particle when the chained maps are not finite, is stepped through
-    ``x <- M_k x + G_k xi_k + g_k`` by :func:`_em`, which names the
-    smallest failing (step, particle).  With ``record``, every particle
-    is stepped for the path, and the last node holds the collapsed
-    terminal unless the particle was flagged, so a particle's result
-    depends only on its own data.
-
-    Args:
-        x0: (N, n) initial states.
-        a_all, b_all: (steps, n, n) and (steps, n) drift coefficients at
-            the left node of each step.
-        q_all: (steps, n, m) diffusion factors; m may be 0.
-        noise: (steps, m, N) standard normal draws; column i is the
-            noise of particle i.
-        dlam: (steps,) step sizes.
-        record: when true, also return the full (N, steps+1, n) paths.
-
-    Returns:
-        (states, paths, code, step, particle); paths is None unless
-        ``record``.
+    The maps are collapsed by :func:`_em_collapse` into
+    ``x_N = C [x_0; xi_0; ...; xi_{N-1}] + d_N``, which :func:`_em_apply`
+    applies to every column in the contract's order.  Divergence is
+    judged per particle by the bound of :func:`_em_bound`: a particle
+    whose bound stays within ``limit / 2`` cannot leave the limit at any
+    step.  Every other particle, and every particle when the chained maps
+    are not finite, is stepped through the maps by :func:`_em`, which
+    names the smallest failing (step, particle).  With ``record``, every
+    particle is stepped for the path, and the last node holds the
+    collapsed terminal unless the particle was flagged, so a particle's
+    result depends only on its own data.
     """
-    dlam = _contig(dlam)
-    x, paths = _columns(x0, dlam.shape[0], record)
-    noise = _contig(noise)
-    dl = dlam[:, None, None]
-    mk = np.eye(x.shape[0]) + dl * _contig(a_all)
-    gk = np.sqrt(dl) * _contig(q_all)
-    g = dl[:, :, 0] * _contig(b_all)
-    xi = noise.reshape(-1, noise.shape[2])  # row k m + l is xi_k[l]
+    x = np.array(np.atleast_2d(x0).T, dtype=np.float64, order="C")
+    steps, m, count = noise.shape
+    paths = None
+    if record:
+        paths = np.empty((count, steps + 1, x.shape[0]))
+        paths[:, 0, :] = x.T
+    xi = noise.reshape(steps * m, count)  # row k m + l is xi_k[l]
     out = np.empty_like(x)
     # An overflow is reported through the divergence code, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         ct, d = _em_collapse(mk, gk, g)
         if ct is None:
-            flagged = np.ones(x.shape[1], dtype=bool)
+            flagged = np.ones(count, dtype=bool)
         else:
             flagged = _em_flagged(x, xi, _em_bound(mk, gk, g), limit)
             _em_apply(ct, d, x, xi, out)
@@ -370,57 +324,47 @@ def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
     return np.ascontiguousarray(out.T), paths, code, step, particle
 
 
+def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
+                 limit: float = STATE_LIMIT):
+    """Euler-Maruyama propagation of an ensemble through all steps.
+
+    The prescaled maps ``M_k = I + dlam_k A_k``, ``G_k = sqrt(dlam_k) q_k``
+    and ``g_k = dlam_k b_k`` of every step are built once from the
+    arguments and run by :func:`_affine_run`.
+
+    Args:
+        x0: (N, n) initial states.
+        a_all, b_all: (steps, n, n) and (steps, n) drift coefficients at
+            the left node of each step.
+        q_all: (steps, n, m) diffusion factors; m may be 0.
+        noise: (steps, m, N) standard normal draws; column i is the
+            noise of particle i.
+        dlam: (steps,) step sizes.
+        record: when true, also return the full (N, steps+1, n) paths.
+
+    Returns:
+        (states, paths, code, step, particle); paths is None unless
+        ``record``.
+    """
+    dl = _contig(dlam)[:, None, None]
+    a_all = _contig(a_all)
+    mk = np.eye(a_all.shape[1]) + dl * a_all
+    gk = np.sqrt(dl) * _contig(q_all)
+    g = dl[:, :, 0] * _contig(b_all)
+    return _affine_run(x0, mk, gk, g, _contig(noise), record, limit)
+
+
 def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
                   record: bool = False, limit: float = STATE_LIMIT):
     """Classic fourth-order propagation for zero-diffusion flows.
 
-    Shapes follow :func:`em_propagate` with drift coefficients supplied
-    at the nodes and at the step midpoints.  The RK4 maps
-    ``x -> T_k x + c_k`` of :func:`_rk4_maps` are chained once, as the
-    augmented matrices ``[[T_k, c_k], [0, 1]]``, into
-    ``x_k = Phi_k x_0 + d_k``; the states at step k are ``Phi_k`` and
-    ``d_k`` applied to every column in the contract's order, so a
-    particle's result does not depend on the rest of the ensemble.
-
-    Divergence is judged on those states.  A step whose bound
-    ``|Phi_k|_inf max|x_0| + |d_k|_inf`` stays within ``limit / 2`` cannot
-    fail; the states of every other step are formed and tested in step
-    order, so the reported (step, particle) is the smallest that fails.
+    Shapes and returns follow :func:`em_propagate` with drift
+    coefficients supplied at the nodes and at the step midpoints.  The
+    RK4 maps ``x -> T_k x + c_k`` of :func:`_rk4_maps` are run by
+    :func:`_affine_run` as the noise-free case, m = 0.
     """
-    dlam = _contig(dlam)
-    x, paths = _columns(x0, dlam.shape[0], record)
-    n, steps = x.shape[0], dlam.shape[0]
-    t, c = _rk4_maps(a_nodes, a_mids, dlam, b_nodes, b_mids)
-    aug = np.zeros((steps, n + 1, n + 1))
-    aug[:, :n, :n] = t
-    aug[:, :n, n] = c
-    aug[:, n, n] = 1.0
-    # The chain only needs to stay finite; a non-finite Phi_k or d_k makes
-    # every state at step k non-finite.
-    chained, bad = _chain(aug, np.eye(n + 1), limit=np.finfo(np.float64).max)
-    phi, d = chained[1:, :n, :n], chained[1:, :n, n]
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = (np.abs(phi).sum(axis=2).max(axis=1, initial=0.0)
-                 * np.abs(x).max(initial=0.0)
-                 + np.abs(d).max(axis=1, initial=0.0))
-    flagged = ~(bound <= 0.5 * limit)  # NaN bounds are flagged
-    if bad >= 0:
-        flagged[bad:] = True  # rows past a non-finite Phi are not meaningful
-    if record:
-        states = np.empty((steps, n, x.shape[1]))
-        _affine(phi, x, states, np.empty_like(states), d)
-        paths[:, 1:, :] = states.transpose(2, 0, 1)
-    y, tmp = np.empty_like(x), np.empty_like(x)
-    for k in np.flatnonzero(flagged):
-        if record:
-            y = states[k]
-        else:
-            _affine(phi[k], x, y, tmp, d[k])
-        code, particle = _first_bad(y, limit)
-        if code:
-            return np.ascontiguousarray(y.T), paths, code, int(k), particle
-    if record:
-        y = states[-1]
-    else:
-        _affine(phi[-1], x, y, tmp, d[-1])
-    return np.ascontiguousarray(y.T), paths, 0, -1, -1
+    t, c = _rk4_maps(a_nodes, a_mids, _contig(dlam), b_nodes, b_mids)
+    steps, n = c.shape
+    count = np.atleast_2d(x0).shape[0]
+    return _affine_run(x0, t, np.zeros((steps, n, 0)), c,
+                       np.zeros((steps, 0, count)), record, limit)

@@ -124,6 +124,29 @@ def test_run_exit_code_parse_failure(tmp_path, capsys):
     assert record["error"] == "ConfigError"
 
 
+_SEQUENTIAL = {"F": [[1.0]], "W": [[0.1]], "n_steps": 5, "truth_seed": 11}
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("consistency", dict(experiment="ensemble_consistency",
+                         consistency={"n_seeds": "ten"})),
+    ("consistency", dict(experiment="ensemble_consistency",
+                         consistency={"n_list": [1, 10]})),
+    ("stability.alpha", dict(experiment="stability", stability={"alpha": "big"})),
+    ("stability", dict(experiment="stability", stability={"n_mc": 5})),
+    ("sequential.F", dict(experiment="sequential",
+                          sequential=dict(_SEQUENTIAL, F=[[1.0, 0.0]]))),
+    ("flow.alpha", dict(flow={"flow": "diagnostic", "alpha": "x"})),
+    ("flow.Q0", dict(flow={"flow": "constant_q", "Q0": "x"})),
+])
+def test_run_exit_code_for_malformed_option_values(tmp_path, capsys, key, overrides):
+    path = _base_config(tmp_path, **overrides)
+    assert run(path) == EXIT_PARSE
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(key)
+
+
 def test_run_exit_code_for_ragged_model(tmp_path, capsys):
     path = _base_config(tmp_path)
     _write(tmp_path, "model.json", {

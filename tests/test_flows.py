@@ -85,7 +85,8 @@ def test_exact_flow_matches_generic_path(canonical, make_model):
             ref = exact_flow_coefficients(lam, prior, meas)
             assert_allclose(got.A, ref.A, atol=1e-10)
             assert_allclose(got.b, ref.b, atol=1e-10)
-            assert_allclose(got.Q, 0.0, atol=1e-14)
+            # K + K^T + H^T R^-1 H cancels exactly, so Q is exactly zero.
+            assert (got.Q == 0.0).all()
 
 
 def test_exact_flow_scalar_closed_form(canonical):

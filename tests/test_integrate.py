@@ -356,6 +356,13 @@ def test_benchmark_models_never_take_the_stepwise_path(monkeypatch, make_model):
         prior, meas = make_model(rng, 4, 2)
         ens = sample_prior(200, prior, seed=seed)
         propagate_ensemble(ens, preset("fixed_q", prior, meas), grid, prior, meas)
+    # The RK4 ensemble of the oracle kind: n=4, d=2, the exact flow, 500
+    # steps; the RK4 maps run through the same engine with no noise.
+    grid = LambdaGrid.uniform(500, scheme="rk4")
+    for seed in range(4):
+        prior, meas = make_model(rng, 4, 2)
+        ens = sample_prior(2000, prior, seed=seed)
+        propagate_ensemble(ens, preset("exact", prior, meas), grid, prior, meas)
     # The track model: a 2-D constant-velocity target, position measured,
     # fixed_q on 200 steps.
     eye, zero = np.eye(2), np.zeros((2, 2))
