@@ -2,9 +2,19 @@
 
 Stochastic propagation uses Euler-Maruyama; the fourth-order
 deterministic scheme is reserved for flows whose diffusion vanishes on
-the whole grid.  All noise comes from counter-based generators keyed by
+the whole grid.  Every flow here is linear-Gaussian, so with its start
+fixed an Euler-Maruyama run is affine in its noise and its terminal has
+the Gaussian law ``N(Phi x0 + d, Sigma)`` (see :mod:`flowfilt.kernels`).
+An ensemble update chains that law once, factors ``Sigma = F F^T`` with
+:func:`diffusion_factor`, draws ``r = rank Sigma`` normals ``eta`` per
+particle and forms ``Phi x0 + F eta + d``: each terminal keeps exactly the
+law of the stepwise scheme.  A recorded run steps the same particle along
+per-step increments conditioned on its eta, and its last node is the same
+terminal.
+
+All noise comes from counter-based generators keyed by
 ``(seed, stream_id)``, so any particle can be replayed in isolation and
-results do not depend on ensemble size, chunking or thread count.
+results do not depend on ensemble size or thread count.
 """
 
 from __future__ import annotations
@@ -30,9 +40,6 @@ PROCESS_STREAM = (1 << 63) + 4
 
 # A flow counts as diffusion-free when no grid node exceeds this.
 _ZERO_Q_TOL = 1e-14
-
-# Cap on per-chunk noise buffers, in float64 entries.
-_CHUNK_BUDGET = 8_000_000
 
 
 def _check_seed(seed) -> int:
@@ -78,11 +85,13 @@ class _Keyring:
 
 @dataclass
 class NoiseStream:
-    """Reproducible source of standard normal increments.
+    """Reproducible source of standard normal draws.
 
-    The draws are a pure function of ``(seed, stream_id)``; row k of
-    :meth:`normals` is the increment consumed at integration step k, and
-    ``counter`` records how many rows have been handed out.
+    The draws are a pure function of ``(seed, stream_id)``, and a longer
+    block extends a shorter one.  A particle's stream starts with the r
+    normals ``eta`` of its terminal; a recorded run reads the
+    ``steps * m`` normals ``zeta`` of its bridge increments right after
+    them.  ``counter`` records how many rows have been handed out.
     """
 
     seed: int
@@ -93,21 +102,22 @@ class NoiseStream:
         self.seed = _check_seed(self.seed)
         self.stream_id = _check_seed(self.stream_id)
 
-    def normals(self, steps: int, m: int, gen: np.random.Generator = None,
+    def normals(self, rows: int, cols: int, gen: np.random.Generator = None,
                 out: np.ndarray = None) -> np.ndarray:
-        """Standard normal block of shape (steps, m), replayed from the key.
+        """Standard normal block of shape (rows, cols), replayed from the key
+        and filled in C order.
 
         ``gen``, when given, is a Philox generator (or a keyring around
         one) that is re-keyed to this stream and drawn from instead of
         building a new one.  ``out``, when given, is a C-contiguous
-        float64 (steps, m) buffer that is filled and returned instead of
+        float64 (rows, cols) buffer that is filled and returned instead of
         a new array.  The block is the same either way.
         """
         if not isinstance(gen, _Keyring):
             gen = _Keyring(gen)
         out = gen.keyed(self.seed, self.stream_id).standard_normal(
-            (int(steps), int(m)), out=out)
-        self.counter = int(steps)
+            (int(rows), int(cols)), out=out)
+        self.counter = int(rows)
         return out
 
 
@@ -179,19 +189,74 @@ def _raise_divergence(code: int, step: int, particle: int, nodes: np.ndarray,
                           lam=lam)
 
 
+def _factored_law(tables: CoefficientTables):
+    """The terminal law of an Euler-Maruyama run on the tables, and the
+    (n, r) factor F of its covariance; r = 0 when there is no law."""
+    law = kernels._em_law(*kernels._em_maps(tables.a_nodes, tables.b_nodes,
+                                            tables.q_factors, tables.dlam))
+    if law.sigma is None:
+        return law, np.zeros((tables.a_nodes.shape[1], 0))
+    return law, diffusion_factor(law.sigma)
+
+
+def _leading_normals(seed: int, ids, count: int) -> np.ndarray:
+    """The first ``count`` normals of each stream ``(seed, i)``, i in ids,
+    as one (len(ids), count) row each.
+
+    Every stream is drawn by its own :meth:`NoiseStream.normals` call,
+    through one keyring, straight into its row.  The seed and the id
+    range are checked once, and one NoiseStream is re-pointed at each id.
+    With count 0 nothing is drawn and no stream is keyed.
+    """
+    out = np.empty((len(ids), 1, count))
+    if count == 0 or len(ids) == 0:
+        return out[:, 0, :]
+    stream = NoiseStream(seed, ids[0])
+    _check_seed(ids[-1])
+    keyring = _Keyring()
+    for stream_id, row in zip(ids, out):
+        stream.stream_id = int(stream_id)
+        stream.normals(1, count, keyring, row)
+    return out[:, 0, :]
+
+
+def _bridge_chunk(seed: int, ids, law, f) -> np.ndarray:
+    """Bridge increments of the streams ``(seed, i)``, i in ids, in the
+    kernels' (steps, m, N) layout.
+
+    Each stream's ``r + steps * m`` normals are drawn by one call of
+    :func:`_leading_normals`: the terminal's eta, then the zeta that
+    :func:`kernels._bridge` conditions on it.  So a particle's block is
+    the one :func:`propagate_particle` steps on the same stream.
+    """
+    steps, _, m = law.gk.shape
+    r = f.shape[1]
+    draws = _leading_normals(seed, ids, r + steps * m)
+    ut = kernels._bridge_basis(law, f)
+    out = np.empty((steps * m, len(ids)))
+    for col, block in enumerate(draws):
+        out[:, col] = kernels._bridge(ut, block[:r], block[r:])
+    return out.reshape(steps, m, len(ids))
+
+
 def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
                        noise: NoiseStream, prior: GaussianPrior,
                        meas: LinearMeasurement,
                        tables: CoefficientTables = None) -> ParticlePath:
     """Propagate a single state from lam 0 to 1, recording the whole path.
 
+    The stochastic scheme reads ``r + steps * m`` normals from the stream
+    in one call: the terminal's ``eta``, then the ``zeta`` of its bridge
+    increments (see :mod:`flowfilt.kernels`).  The path is stepped along
+    the bridge, and its last node is the collapsed terminal, bit for bit
+    the row that :func:`propagate_ensemble` gives this stream.
+
     Args:
         x0: initial state of dimension n.
         params: flow parameterization.
         grid: pseudo-time grid; its scheme selects the integrator.
-        noise: noise stream consumed by the stochastic scheme (one row
-            per step).  Unused rows are never drawn for the
-            deterministic scheme.
+        noise: noise stream consumed by the stochastic scheme; the
+            deterministic scheme draws nothing.
         prior, meas: the model.
         tables: optional precomputed coefficients for this grid; tables
             built for another scheme or other step sizes raise ValueError.
@@ -214,45 +279,16 @@ def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
             x0[None, :], tables.a_nodes, tables.b_nodes,
             tables.a_mids, tables.b_mids, tables.dlam, record=True)
     else:
-        block = noise.normals(grid.steps, tables.m_max)
-        _, paths, code, step, particle = kernels.em_propagate(
-            x0[None, :], tables.a_nodes, tables.b_nodes, tables.q_factors,
-            block[:, :, None], tables.dlam, record=True)
+        law, f = _factored_law(tables)
+        r, size = f.shape[1], grid.steps * tables.m_max
+        block = noise.normals(1, r + size)[0] if r + size else np.zeros(0)
+        xi = kernels._bridge(kernels._bridge_basis(law, f), block[:r], block[r:])
+        _, paths, code, step, particle = kernels._affine_run(
+            x0[None, :], law, f, block[:r, None],
+            lambda idx: xi.reshape(grid.steps, tables.m_max, 1), record=True)
     if code:
         _raise_divergence(code, step, particle, grid.nodes, single=True)
     return ParticlePath(nodes=grid.nodes.copy(), states=paths[0])
-
-
-# Streams drawn into one contiguous block before it is transposed into
-# the chunk's (steps, m, N) layout.
-_NOISE_BLOCK = 64
-
-
-def _noise_chunk(seed: int, ids: range, steps: int, m: int) -> np.ndarray:
-    """Noise of the streams ``ids`` in the kernels' (steps, m, N) layout.
-
-    Every stream is drawn by its own :meth:`NoiseStream.normals` call,
-    through one keyring, into a contiguous row of a reused
-    (``_NOISE_BLOCK``, steps, m) block; each full block is then
-    transposed into its columns of the chunk.  The seed and the id range
-    are checked once, and one NoiseStream is re-pointed at each id.  A
-    flow without diffusion (m == 0) draws nothing, so no stream is keyed.
-    """
-    out = np.empty((steps, m, len(ids)))
-    if m == 0 or not ids:
-        return out
-    stream = NoiseStream(seed, ids[0])
-    _check_seed(ids[-1])
-    keyring = _Keyring()
-    block = np.empty((_NOISE_BLOCK, steps, m))
-    rows = list(block)
-    for start in range(0, len(ids), _NOISE_BLOCK):
-        width = min(_NOISE_BLOCK, len(ids) - start)
-        for row, stream_id in zip(rows, ids[start:start + width]):
-            stream.stream_id = stream_id
-            stream.normals(steps, m, keyring, row)
-        out[:, :, start:start + width] = block[:width].transpose(1, 2, 0)
-    return out
 
 
 def propagate_ensemble(ensemble, params: FlowParameterization, grid: LambdaGrid,
@@ -260,10 +296,12 @@ def propagate_ensemble(ensemble, params: FlowParameterization, grid: LambdaGrid,
                        noise_seed: int = None):
     """Propagate every particle of an ensemble to lam 1.
 
-    Particle i consumes the noise stream ``(noise_seed, i)``, so its
-    output is independent of the other particles and identical to a
-    :func:`propagate_particle` call with the same stream.  The default
-    noise seed is the ensemble's own seed.
+    Particle i consumes the noise stream ``(noise_seed, i)``: the first r
+    normals are its ``eta``, so its output is independent of the other
+    particles and identical to a :func:`propagate_particle` call with the
+    same stream.  A particle flagged by the divergence rule of
+    :mod:`flowfilt.kernels` re-reads its stream for its bridge.  The
+    default noise seed is the ensemble's own seed.
 
     Returns a new ensemble at lam 1; raises DivergenceError naming the
     first failing (step, particle).
@@ -279,28 +317,16 @@ def propagate_ensemble(ensemble, params: FlowParameterization, grid: LambdaGrid,
     seed = _check_seed(ensemble.seed if noise_seed is None else noise_seed)
     tables = build_tables(params, grid, prior, meas)
     x = np.array(ensemble.particles, dtype=float)
-    n_particles = x.shape[0]
 
     if tables.scheme == "rk4":
         out, _, code, step, particle = kernels.rk4_propagate(
             x, tables.a_nodes, tables.b_nodes, tables.a_mids, tables.b_mids,
             tables.dlam, record=False)
-        if code:
-            _raise_divergence(code, step, particle, grid.nodes, single=False)
-        return ParticleEnsemble(particles=out, lam=1.0, seed=ensemble.seed)
-
-    steps, m = grid.steps, tables.m_max
-    per_particle = max(steps * max(m, 1), 1)
-    chunk = max(1, min(n_particles, _CHUNK_BUDGET // per_particle))
-    out = np.empty_like(x)
-    for start in range(0, n_particles, chunk):
-        stop = min(start + chunk, n_particles)
-        block = _noise_chunk(seed, range(start, stop), steps, m)
-        states, _, code, step, particle = kernels.em_propagate(
-            x[start:stop], tables.a_nodes, tables.b_nodes, tables.q_factors,
-            block, tables.dlam, record=False)
-        if code:
-            _raise_divergence(code, step, particle + start, grid.nodes,
-                              single=False)
-        out[start:stop] = states
+    else:
+        law, f = _factored_law(tables)
+        eta = _leading_normals(seed, range(x.shape[0]), f.shape[1])
+        out, _, code, step, particle = kernels._affine_run(
+            x, law, f, eta.T, lambda idx: _bridge_chunk(seed, idx, law, f))
+    if code:
+        _raise_divergence(code, step, particle, grid.nodes, single=False)
     return ParticleEnsemble(particles=out, lam=1.0, seed=ensemble.seed)

@@ -1,35 +1,55 @@
-"""Hot propagation loops: Euler-Maruyama and classic RK4 over an ensemble.
+"""Hot propagation loops: the collapsed law of an affine run, and the
+stepwise kernel that records paths and names divergences.
 
-Inside the kernels the ensemble is column-major: the state is an (n, N)
-array with one column per particle and the EM noise is (steps, m, N), so
-each update is one numpy operation over all N particles.  Callers keep
-the row layout: states go in and come out as (N, n), and recorded paths
-are (N, steps+1, n), filled in place.
+Every step of either scheme is an affine map ``x -> M_k x + G_k xi_k + g_k``
+of the state and the noise.  Euler-Maruyama on
+``dx = (A x + b) dlam + q dW`` passes the prescaled ``M_k = I + dlam_k A_k``,
+``G_k = sqrt(dlam_k) q_k`` and ``g_k = dlam_k b_k`` (:func:`_em_maps`);
+classic RK4 on a zero-diffusion flow passes its maps ``T_k``, ``c_k`` with
+no noise (m = 0).  With its start fixed, a whole run is affine in its
+Gaussian noise: ``x_N = Phi_N x_0 + sum_j W_j xi_j + d_N`` with
+``W_j = M_{N-1} ... M_{j+1} G_j``.  Its terminal therefore has the law
+``N(Phi_N x_0 + d_N, Sigma)`` with ``Sigma = sum_j W_j W_j^T``, and one
+particle needs only ``r = rank Sigma <= n`` normals ``eta``:
+``x_N = Phi_N x_0 + F eta + d_N`` with ``F F^T = Sigma``.  :func:`_em_law`
+chains the augmented maps backwards once into ``Phi_N``, ``d_N`` and W and
+sums Sigma in a fixed order; the caller factors it and draws eta;
+:func:`_affine_run` applies ``[Phi_N | F]`` and ``d_N`` to every column.
+RK4 is the r = 0 case of the same apply.
+
+Inside the kernels the ensemble is column-major: states are (n, N) and
+per-step increments (steps, m, N), so each operation runs over all
+particles at once.  Callers keep the row layout: states go in and come
+out as (N, n), and recorded paths are (N, steps+1, n), filled in place.
 
 The accumulation order is part of the contract, because ensemble row i
 must equal a single-particle run bit for bit.  Every product
-``a @ x + b`` starts at 0.0, adds ``a[j, kk] * x[kk]`` with kk
-ascending and adds b last.  Every operation is elementwise across
-columns, so a particle's result does not depend on the other particles
-in the block.  Noise is never generated here; callers pass precomputed
-normal draws.
+``a @ x + b`` starts at +0.0, adds ``a[j, kk] * x[kk]`` with kk ascending
+and adds b last; the terminal sums the terms of ``[x_0; eta]`` in that
+order.  Every operation is elementwise across columns, so a particle's
+result does not depend on the other particles.  Noise is never generated
+here; callers pass precomputed normal draws.
 
-Both schemes run on one engine, ``_affine_run``, because every step of
-either is an affine map ``x -> M_k x + G_k xi_k + g_k`` of the state
-and the noise.  Euler-Maruyama on ``dx = (A x + b) dlam + q dW`` passes
-the prescaled ``M_k = I + dlam_k A_k``, ``G_k = sqrt(dlam_k) q_k`` and
-``g_k = dlam_k b_k``; classic RK4 on a zero-diffusion flow passes its
-maps ``T_k``, ``c_k`` with no noise (m = 0).  A whole run is then affine
-in the start and the noise: ``x_N = Phi_N x_0 + sum_j W_j xi_j + d_N``
-with ``W_j = M_{N-1} ... M_{j+1} G_j``.  The engine chains the augmented
-maps backwards once into ``C = [Phi_N | W_0 ... W_{N-1}]`` and ``d_N``
-and applies them to every column as one contract-order sum over
-``[x_0; xi_0; ...; xi_{N-1}]``.  Divergence is screened per particle by
-a bound ``alpha max|x_0| + beta max|xi| + gamma`` on all of its states;
-a particle the bound does not clear is stepped through the maps one at
-a time, which names the smallest failing (step, particle).  A recorded
-run steps every particle for its path and keeps the collapsed terminal
-at the last node of each particle the bound clears.
+A recorded run, and every particle that the divergence rule flags, is
+stepped through the maps by ``_em`` along a *bridge*: per-step increments
+``xi = zeta + U^T (eta - U zeta)`` with ``U = F^+ W`` (:func:`_bridge`).
+Given eta they are standard normal conditioned on ``W xi = F eta``, so the
+stepped path is an Euler-Maruyama path that ends, to rounding, on the
+collapsed terminal; the last node holds the collapsed terminal itself.
+
+Divergence rule.  The ensemble forms no intermediate state, so it judges:
+- the law: a bound on ``|Phi_k|``, ``|d_k|`` and the entries of
+  ``Sigma_k`` at every step k (:func:`_law_trusted`).  When it leaves the
+  trusted range, or the chained maps leave the float range, every
+  particle is flagged;
+- each particle: its start and its terminal.  A particle whose start or
+  terminal leaves the trusted range is flagged.
+Flagged particles are stepped along their bridges, which names the
+smallest failing (step, particle); a particle whose stepped path stays in
+range but whose terminal does not is reported at the last step.  A
+flagged particle that does not fail keeps its collapsed terminal.  When
+the chained maps are not finite there is no law: r = 0, the bridge is the
+plain increments, and every particle ends on its stepped state.
 
 Every drift here is affine, so one classic RK4 step of any deterministic
 solve is an affine map ``y -> T_k y + c_k``.  ``_rk4_maps`` builds the
@@ -45,12 +65,16 @@ is the lexicographically smallest (step, particle) that failed.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 # States with any coordinate beyond this magnitude count as diverged.
 STATE_LIMIT = 1e12
 # Steps per whole-block trusted-range test in ``_chain``.
 CHAIN_BLOCK = 64
+# Per-step increments of one block of flagged particles, in float64 entries.
+STEP_BUDGET = 1 << 21
 
 NUMBA_AVAILABLE = False  # kept for perfbench/run.py, which reads it
 
@@ -82,10 +106,11 @@ def _em(x, mk, gk, g, noise, limit, paths):
 
     ``z = [x; xi_k]`` lives in one (n+m, N) buffer and ``coef[k]`` is
     ``[M_k | G_k]`` transposed to (n+m, n, 1), so one product with
-    ``z[:, None, :]`` forms every term of the step.  The terms are summed
-    into ``x = z[:n]`` from +0.0 with the column index ascending, and g_k
-    comes last.  ``x . x <= limit**2 / 4`` clears every state of a step
-    at once (NaN fails it); the exact test runs only when it fails.
+    ``z[:, None, :]`` forms every term of the step.  One reduction over
+    the term axis sums them into ``x = z[:n]`` from +0.0 with the column
+    index ascending, and g_k comes last.  ``x . x <= limit**2 / 4``
+    clears every state of a step at once (NaN fails it); the exact test
+    runs only when it fails.
     """
     n, m = gk.shape[1:]
     coef = np.concatenate([mk, gk], axis=2)
@@ -95,15 +120,13 @@ def _em(x, mk, gk, g, noise, limit, paths):
     z[:n] = x
     x, flat, zs = z[:n], z[:n].reshape(-1), z[:, None, :]
     prods = np.empty((n + m, n, x.shape[1]))
-    terms, xis = list(prods)[1:], list(noise)
+    xis = list(noise)
     clear = 0.25 * limit * limit
     for k, (c, offset) in enumerate(zip(coef, g)):
         if m:
             z[n:] = xis[k]
         np.multiply(c, zs, out=prods)
-        np.add(prods[0], 0.0, out=x)
-        for term in terms:
-            x += term
+        np.add.reduce(prods, axis=0, initial=0.0, out=x)
         x += offset
         if paths is not None:
             paths[:, k + 1, :] = x.T
@@ -178,6 +201,21 @@ def _chain(t, y0, c=None, limit=STATE_LIMIT):
     return y, -1
 
 
+def _contig(a):
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _em_maps(a_all, b_all, q_all, dlam):
+    """The prescaled Euler-Maruyama maps ``M_k = I + dlam_k A_k``,
+    ``G_k = sqrt(dlam_k) q_k`` and ``g_k = dlam_k b_k`` of every step."""
+    dl = _contig(dlam)[:, None, None]
+    a_all = _contig(a_all)
+    mk = np.eye(a_all.shape[1]) + dl * a_all
+    gk = np.sqrt(dl) * _contig(q_all)
+    g = dl[:, :, 0] * _contig(b_all)
+    return mk, gk, g
+
+
 def _em_collapse(mk, gk, g):
     """A whole run of the maps as one affine map of ``[x_0; xi]``.
 
@@ -203,141 +241,163 @@ def _em_collapse(mk, gk, g):
     return ct, tails[steps, n, :n]
 
 
-def _em_bound(mk, gk, g):
-    """Largest ``alpha_k``, ``beta_k`` and ``gamma_k`` of the recursions
-    ``alpha_{k+1} = |M_k| alpha_k``, ``beta_{k+1} = |M_k| beta_k + |G_k|``
-    and ``gamma_{k+1} = |M_k| gamma_k + |g_k|`` (infinity norms, from 1, 0
-    and 0), so that every state of a particle satisfies
-    ``|x_k| <= alpha max|x_0| + beta max|xi| + gamma``.  A NaN norm makes
-    the result NaN.
+def _law_trusted(mk, gk, g, limit):
+    """Whether bounds on ``|Phi_k|``, ``|d_k|`` and the entries of
+    ``Sigma_k`` stay within ``limit`` at every step (NaN counts as not).
+
+    With the infinity norms ``mu_k = |M_k|``, ``gamma_k = |G_k|`` and
+    ``beta_k = max|g_k|``, ``Phi_{k+1} = M_k Phi_k``,
+    ``d_{k+1} = M_k d_k + g_k`` and ``Sigma_{k+1} = M_k Sigma_k M_k^T +
+    G_k G_k^T`` give ``|Phi_k| <= a_k = mu_0 ... mu_{k-1}``,
+    ``|d_k| <= a_k sum_{j<k} beta_j / a_{j+1}`` and, since a PSD matrix's
+    largest entry is on its diagonal, ``|Sigma_k| <= a_k^2 sum_{j<k}
+    (gamma_j / a_{j+1})^2``.  Cumulative products and sums give every k at
+    once; an underflow of ``a`` makes a bound inf or NaN, which only
+    flags more.
     """
-    norms = zip(np.abs(mk).sum(axis=2).max(axis=1).tolist(),
-                np.abs(gk).sum(axis=2).max(axis=1).tolist(),
-                np.abs(g).max(axis=1).tolist())
-    alpha, beta, gamma = 1.0, 0.0, 0.0
-    seen = [(alpha, beta, gamma)]
-    # Python floats: an overflow gives inf and never a warning.
-    for m_norm, g_norm, b_norm in norms:
-        alpha, beta, gamma = (m_norm * alpha, m_norm * beta + g_norm,
-                              m_norm * gamma + b_norm)
-        seen.append((alpha, beta, gamma))
-    return np.max(seen, axis=0)
+    with np.errstate(all="ignore"):
+        a = np.cumprod(np.abs(mk).sum(axis=2).max(axis=1))
+        d = a * np.cumsum(np.abs(g).max(axis=1) / a)
+        s = a * a * np.cumsum(np.square(np.abs(gk).sum(axis=2).max(axis=1) / a))
+        return bool(np.max([a.max(), d.max(), s.max()]) <= limit)
 
 
-def _em_flagged(x, xi, coeffs, limit):
-    """Particles whose bound ``alpha max|x_0,i| + beta max_j|xi_j,i| + gamma``
-    is not within ``limit / 2`` (NaN counts as not).
+class _Law(NamedTuple):
+    """The maps of a run and the law of its terminal given its start.
 
-    The bound rises with both maxima, so one chunk-wide bound that passes
-    clears every particle.  Its noise maximum is the root of the sum of
-    squares, raised by 1e-6 to cover that sum's rounding.
+    ``ct`` is ``[Phi_N^T; W^T]`` of :func:`_em_collapse` and ``sigma`` is
+    ``W W^T``; both are None when the chained maps leave the float range.
     """
-    alpha, beta, gamma = coeffs
-    half = 0.5 * limit
-    flat = xi.reshape(-1)
-    noise_max = np.sqrt(np.dot(flat, flat)) * (1.0 + 1e-6)
-    if alpha * np.abs(x).max(initial=0.0) + beta * noise_max + gamma <= half:
-        return np.zeros(x.shape[1], dtype=bool)
-    x_max = np.maximum(x.max(axis=0), -x.min(axis=0))
-    xi_max = np.maximum(xi.max(axis=0, initial=0.0), -xi.min(axis=0, initial=0.0))
-    return ~(alpha * x_max + beta * xi_max + gamma <= half)
+
+    mk: np.ndarray
+    gk: np.ndarray
+    g: np.ndarray
+    ct: np.ndarray
+    d: np.ndarray
+    sigma: np.ndarray
+    trusted: bool
 
 
-# Entries of the product buffer of ``_em_apply`` (512 KB, so it stays in
-# cache between the multiply and the adds).
-_TERM_BLOCK = 1 << 16
+def _em_law(mk, gk, g, limit=STATE_LIMIT):
+    """Chain the maps into ``Phi_N``, ``d_N`` and W once, and sum
+    ``Sigma = W W^T``.
 
-
-def _em_apply(ct, d, x, xi, out):
-    """``out = C [x; xi] + d`` for every column, in the contract's order.
-
-    Each entry starts at +0.0 and adds its terms with the index of
-    ``[x; xi]`` ascending, then d.  The products of a block of terms are
-    formed by one multiply; the sum stays one term at a time.
+    The sum runs over the columns of W in ascending order with no BLAS
+    call (einsum without optimization), so Sigma is exactly symmetric and
+    does not depend on the thread count.
     """
-    n = x.shape[0]
-    per = max(1, _TERM_BLOCK // max(out.size, 1))
-    prods = np.empty((min(per, ct.shape[0]), *out.shape))
-    out[...] = 0.0
-    for coef, z in ((ct[:n], x), (ct[n:], xi)):
-        for start in range(0, z.shape[0], per):
-            stop = min(start + per, z.shape[0])
-            block = prods[:stop - start]
-            np.multiply(coef[start:stop, :, None], z[start:stop, None, :],
-                        out=block)
-            for term in block:
-                out += term
-    out += d[:, None]
-
-
-def _contig(a):
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def _affine_run(x0, mk, gk, g, noise, record, limit):
-    """Propagate the (N, n) states through ``x <- M_k x + G_k xi_k + g_k``,
-    given the (steps, n, n), (steps, n, m) and (steps, n) stacks of
-    ``M_k``, ``G_k`` and ``g_k`` and the (steps, m, N) noise; m may be 0.
-
-    The maps are collapsed by :func:`_em_collapse` into
-    ``x_N = C [x_0; xi_0; ...; xi_{N-1}] + d_N``, which :func:`_em_apply`
-    applies to every column in the contract's order.  Divergence is
-    judged per particle by the bound of :func:`_em_bound`: a particle
-    whose bound stays within ``limit / 2`` cannot leave the limit at any
-    step.  Every other particle, and every particle when the chained maps
-    are not finite, is stepped through the maps by :func:`_em`, which
-    names the smallest failing (step, particle).  With ``record``, every
-    particle is stepped for the path, and the last node holds the
-    collapsed terminal unless the particle was flagged, so a particle's
-    result depends only on its own data.
-    """
-    x = np.array(np.atleast_2d(x0).T, dtype=np.float64, order="C")
-    steps, m, count = noise.shape
-    paths = None
-    if record:
-        paths = np.empty((count, steps + 1, x.shape[0]))
-        paths[:, 0, :] = x.T
-    xi = noise.reshape(steps * m, count)  # row k m + l is xi_k[l]
-    out = np.empty_like(x)
-    # An overflow is reported through the divergence code, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         ct, d = _em_collapse(mk, gk, g)
-        if ct is None:
-            flagged = np.ones(count, dtype=bool)
+        trusted = ct is not None and _law_trusted(mk, gk, g, limit)
+        sigma = None
+        if ct is not None:
+            wt = ct[mk.shape[1]:]
+            sigma = np.einsum("ki,kj->ij", wt, wt, optimize=False)
+    return _Law(mk, gk, g, ct, d, sigma, trusted)
+
+
+def _bridge_basis(law, f):
+    """``U^T = W^T (F^+)^T`` as (steps m, r), with ``F^+ = diag(1/|f_c|^2) F^T``
+    (the columns of F are orthogonal).  Summed over the n columns of W
+    in ascending order, without BLAS."""
+    steps, _, m = law.gk.shape
+    ut = np.zeros((steps * m, f.shape[1]))
+    if law.ct is None or not f.shape[1]:
+        return ut
+    fp = f / np.einsum("jc,jc->c", f, f)
+    for j, col in enumerate(law.ct[f.shape[0]:].T):
+        ut += col[:, None] * fp[j]
+    return ut
+
+
+def _bridge(ut, eta, zeta):
+    """Increments ``xi = zeta + U^T (eta - U zeta)`` of one particle.
+
+    For ``zeta ~ N(0, I)`` independent of eta, xi is standard normal and
+    ``U xi = eta``; with ``W = F U`` that gives ``W xi = F eta``, so the
+    stepped run ends on the collapsed terminal up to rounding.  The sums
+    are fixed-order numpy reductions, never BLAS.
+    """
+    resid = eta - np.einsum("kc,k->c", ut, zeta, optimize=False)
+    xi = zeta.copy()
+    for c, col in enumerate(ut.T):
+        xi += col * resid[c]
+    return xi
+
+
+def _apply(phi_t, ft, d, x, eta):
+    """``Phi x + F eta + d`` for every column, in the contract's order:
+    from +0.0, the terms of ``[x; eta]`` ascending, then d."""
+    out = np.zeros_like(x)
+    term = np.empty_like(x)
+    for coef, z in zip([*phi_t, *ft], [*x, *eta]):
+        np.multiply(coef[:, None], z, out=term)
+        out += term
+    out += d[:, None]
+    return out
+
+
+def _in_range(x, limit):
+    """Columns of x with every entry within the limit (NaN is not)."""
+    return (np.abs(x) <= limit).all(axis=0)
+
+
+def _affine_run(x0, law, f, eta, increments, record=False, limit=STATE_LIMIT):
+    """Propagate the (N, n) states to the terminal ``Phi x0 + F eta + d``.
+
+    ``f`` is the (n, r) factor of ``law.sigma`` and ``eta`` the (r, N)
+    draws; ``increments(idx)`` returns the (steps, m, len(idx)) bridge
+    increments of the particles idx, which only flagged particles and
+    recorded runs need.  Flagged particles (see the module docstring) are
+    stepped in blocks of ``STEP_BUDGET`` increments; with ``record`` every
+    particle is stepped for its path, whose last node holds the terminal.
+    Returns ``(states, paths, code, step, particle)``.
+    """
+    x = np.array(np.atleast_2d(x0).T, dtype=np.float64, order="C")
+    n, count = x.shape
+    steps, _, m = law.gk.shape
+    paths = None
+    if record:
+        paths = np.empty((count, steps + 1, n))
+        paths[:, 0, :] = x.T
+    code, step, particle = 0, -1, -1
+    # An overflow is reported through the divergence code, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.empty_like(x) if law.ct is None else _apply(law.ct[:n], f.T,
+                                                              law.d, x, eta)
+        if record or not law.trusted:
+            idx = np.arange(count)
         else:
-            flagged = _em_flagged(x, xi, _em_bound(mk, gk, g), limit)
-            _em_apply(ct, d, x, xi, out)
-        code, step, particle = 0, -1, -1
-        if record:
-            last, code, step, particle = _em(x, mk, gk, g, noise, limit, paths)
-            if code:
-                out = last
-            else:
-                out[:, flagged] = last[:, flagged]
-                paths[:, -1, :] = out.T
-        elif flagged.any():
-            idx = np.flatnonzero(flagged)
-            out[:, idx], code, step, particle = _em(x[:, idx], mk, gk, g,
-                                                    noise[:, :, idx], limit, None)
-            if code:
-                particle = int(idx[particle])
+            idx = np.flatnonzero(~(_in_range(x, limit) & _in_range(out, limit)))
+        width = max(1, len(idx) if record else STEP_BUDGET // max(steps * m, 1))
+        for start in range(0, len(idx), width):
+            cols = idx[start:start + width]
+            last, bad, at, which = _em(x[:, cols], law.mk, law.gk, law.g,
+                                       increments(cols), limit, paths)
+            if law.ct is None:
+                out[:, cols] = last
+            if bad and (not code or (at, cols[which]) < (step, particle)):
+                code, step, particle = bad, at, int(cols[which])
+        ends = idx[~_in_range(out[:, idx], limit)]
+        if ends.size and (not code or (steps - 1, ends[0]) < (step, particle)):
+            code = 1 if not np.isfinite(out[:, ends[0]]).all() else 2
+            step, particle = steps - 1, int(ends[0])
+    if record and not code:
+        paths[:, -1, :] = out.T
     return np.ascontiguousarray(out.T), paths, code, step, particle
 
 
 def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
                  limit: float = STATE_LIMIT):
-    """Euler-Maruyama propagation of an ensemble through all steps.
-
-    The prescaled maps ``M_k = I + dlam_k A_k``, ``G_k = sqrt(dlam_k) q_k``
-    and ``g_k = dlam_k b_k`` of every step are built once from the
-    arguments and run by :func:`_affine_run`.
+    """Euler-Maruyama on caller-given increments: every particle is
+    stepped through the prescaled maps of :func:`_em_maps` by ``_em``.
 
     Args:
         x0: (N, n) initial states.
         a_all, b_all: (steps, n, n) and (steps, n) drift coefficients at
             the left node of each step.
         q_all: (steps, n, m) diffusion factors; m may be 0.
-        noise: (steps, m, N) standard normal draws; column i is the
+        noise: (steps, m, N) standard normal increments; column i is the
             noise of particle i.
         dlam: (steps,) step sizes.
         record: when true, also return the full (N, steps+1, n) paths.
@@ -346,12 +406,16 @@ def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
         (states, paths, code, step, particle); paths is None unless
         ``record``.
     """
-    dl = _contig(dlam)[:, None, None]
-    a_all = _contig(a_all)
-    mk = np.eye(a_all.shape[1]) + dl * a_all
-    gk = np.sqrt(dl) * _contig(q_all)
-    g = dl[:, :, 0] * _contig(b_all)
-    return _affine_run(x0, mk, gk, g, _contig(noise), record, limit)
+    mk, gk, g = _em_maps(a_all, b_all, q_all, dlam)
+    x = np.array(np.atleast_2d(x0).T, dtype=np.float64, order="C")
+    paths = None
+    if record:
+        paths = np.empty((x.shape[1], g.shape[0] + 1, x.shape[0]))
+        paths[:, 0, :] = x.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, code, step, particle = _em(x, mk, gk, g, _contig(noise), limit,
+                                        paths)
+    return np.ascontiguousarray(out.T), paths, code, step, particle
 
 
 def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
@@ -361,10 +425,11 @@ def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
     Shapes and returns follow :func:`em_propagate` with drift
     coefficients supplied at the nodes and at the step midpoints.  The
     RK4 maps ``x -> T_k x + c_k`` of :func:`_rk4_maps` are run by
-    :func:`_affine_run` as the noise-free case, m = 0.
+    :func:`_affine_run` as the noise-free case, r = m = 0.
     """
     t, c = _rk4_maps(a_nodes, a_mids, _contig(dlam), b_nodes, b_mids)
     steps, n = c.shape
     count = np.atleast_2d(x0).shape[0]
-    return _affine_run(x0, t, np.zeros((steps, n, 0)), c,
-                       np.zeros((steps, 0, count)), record, limit)
+    return _affine_run(x0, _em_law(t, np.zeros((steps, n, 0)), c, limit),
+                       np.zeros((n, 0)), np.zeros((0, count)),
+                       lambda idx: np.zeros((steps, 0, len(idx))), record, limit)

@@ -26,7 +26,7 @@ without forming its node forms; only the rest are formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -51,12 +51,17 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class ErrorTrajectory:
-    """Error states and Lyapunov traces at every grid node."""
+    """Error states and Lyapunov traces at every grid node.
+
+    ``a_of``, when known, maps lam values to the stacked A matrices of the
+    error dynamics, so a check can follow the trajectory between nodes.
+    """
 
     nodes: np.ndarray
     errors: np.ndarray  # (steps + 1, n)
     v_m: np.ndarray
     v_s: np.ndarray
+    a_of: Optional[Callable] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,7 @@ def _ellipsoid_points(count: int, s_weight: np.ndarray, seed: int) -> np.ndarray
     return solve_triangular(chol_s.T, (z / norms).T, lower=False).T
 
 
-def _trajectory_from_paths(nodes, path, s_weight, g_weight):
+def _trajectory_from_paths(nodes, path, s_weight, g_weight, a_of=None):
     u = path @ s_weight * path
     v_s = u.sum(axis=1)
     if g_weight is None:
@@ -205,7 +210,8 @@ def _trajectory_from_paths(nodes, path, s_weight, g_weight):
     else:
         w = path @ g_weight * path
         v_m = v_s + nodes * w.sum(axis=1)
-    return ErrorTrajectory(nodes=nodes.copy(), errors=path, v_m=v_m, v_s=v_s)
+    return ErrorTrajectory(nodes=nodes.copy(), errors=path, v_m=v_m, v_s=v_s,
+                           a_of=a_of)
 
 
 def error_trajectory(x1_0, x2_0, params: FlowParameterization, grid: LambdaGrid,
@@ -226,9 +232,10 @@ def error_trajectory(x1_0, x2_0, params: FlowParameterization, grid: LambdaGrid,
     x2_0 = np.asarray(x2_0, dtype=float)
     if x1_0.shape != (prior.n,) or x2_0.shape != (prior.n,):
         raise ValueError(f"initial states must have shape {(prior.n,)}")
-    phi = _transition(_flow_a(params, prior, meas), grid)
+    a_of = _flow_a(params, prior, meas)
+    phi = _transition(a_of, grid)
     return _trajectory_from_paths(grid.nodes, phi @ (x1_0 - x2_0), prior.precision,
-                                  meas.info_matrix)
+                                  meas.info_matrix, a_of)
 
 
 def linear_error_trajectory(xtilde0, a_fn: Callable[[float], np.ndarray],
@@ -240,8 +247,9 @@ def linear_error_trajectory(xtilde0, a_fn: Callable[[float], np.ndarray],
     """
     xtilde0 = np.asarray(xtilde0, dtype=float)
     s_weight = np.asarray(s_weight, dtype=float)
-    phi = _transition(_system_a(a_fn), grid)
-    return _trajectory_from_paths(grid.nodes, phi @ xtilde0, s_weight, None)
+    a_of = _system_a(a_fn)
+    phi = _transition(a_of, grid)
+    return _trajectory_from_paths(grid.nodes, phi @ xtilde0, s_weight, None, a_of)
 
 
 def lyapunov_derivative(xtilde, lam, Q, derivs: HomotopyDerivatives) -> float:
@@ -271,14 +279,50 @@ def check_fts(traj: ErrorTrajectory, alpha: float, beta: float, s_weight) -> Fts
     return FtsResult(verdict=verdict, alpha=alpha, beta=beta)
 
 
+# Bisection steps of _last_step_crossing: the crossing is located to
+# 2**-50 of the step.
+_CROSSING_STEPS = 50
+
+
+def _last_step_crossing(traj: ErrorTrajectory, s_weight, beta: float):
+    """A lam inside the last step where the S-norm crosses below beta.
+
+    The S-norm is at or above beta at the node before the last and below
+    it at the last.  Bisection keeps that bracket, evaluating the state
+    at ``lam0 + h`` by one partial RK4 step of size h from the node
+    before (``kernels._rk4_maps`` builds it for any h).  Returns the
+    upper end of the final bracket, or None when it never moves below
+    the last node.
+    """
+    lam0, size = traj.nodes[-2], traj.nodes[-1] - traj.nodes[-2]
+    x = traj.errors[-2]
+    lo, hi = 0.0, size
+    for _ in range(_CROSSING_STEPS):
+        mid = 0.5 * (lo + hi)
+        a = traj.a_of(np.array([lam0, lam0 + mid, lam0 + 0.5 * mid]))
+        t, _ = kernels._rk4_maps(a[:2], a[2:], np.array([mid]))
+        y = t[0] @ x
+        if y @ s_weight @ y < beta:
+            hi = mid
+        else:
+            lo = mid
+    lam = float(lam0 + hi)
+    return lam if hi < size and lam < traj.nodes[-1] else None
+
+
 def check_ftcs(traj: ErrorTrajectory, alpha: float, beta: float, gamma: float,
                s_weight) -> FtcsResult:
     """Contractive finite-time stability of one sampled trajectory.
 
     Requires ``0 < beta < alpha < gamma``.  True iff the trajectory is
     finite-time stable for (alpha, gamma) and the S-norm drops below
-    beta at some interior node and stays there through lam 1.  The
-    returned lambda1 is the earliest such node.
+    beta at some lam1 < 1 and stays there through lam 1.  The returned
+    lambda1 is the earliest interior node from which the bound holds.
+    When it holds at lam 1 but not at the node before, the crossing lies
+    inside the last step; with the trajectory's dynamics known
+    (``traj.a_of``), lambda1 is that crossing, located by
+    :func:`_last_step_crossing`, so the verdict does not hinge on whether
+    a node falls after it.
     """
     alpha, beta, gamma = float(alpha), float(beta), float(gamma)
     if not 0.0 < beta < alpha < gamma:
@@ -298,6 +342,8 @@ def check_ftcs(traj: ErrorTrajectory, alpha: float, beta: float, gamma: float,
     holds = np.logical_and.accumulate((v < beta)[::-1])[::-1]
     entry = np.flatnonzero(holds[1:-1])
     lambda1 = float(traj.nodes[entry[0] + 1]) if entry.size else None
+    if lambda1 is None and holds[-1] and traj.a_of is not None:
+        lambda1 = _last_step_crossing(traj, s_weight, beta)
     return FtcsResult(verdict=lambda1 is not None, alpha=alpha, beta=beta,
                       gamma=gamma, lambda1=lambda1)
 
@@ -453,7 +499,7 @@ def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
         lambda1 = None
         for p in range(paths.shape[0]):
             traj = _trajectory_from_paths(g.nodes, paths[p], s_weight,
-                                          meas.info_matrix)
+                                          meas.info_matrix, a_of)
             fts_ok &= check_fts(traj, alpha, beta, s_weight).verdict
             res = check_ftcs(traj, alpha=alpha, beta=beta_c, gamma=gamma,
                              s_weight=s_weight)

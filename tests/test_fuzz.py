@@ -107,19 +107,20 @@ def test_rk4_ensemble_matches_particles_and_the_stagewise_scheme(cases):
         assert err <= 1e-12, (index, err)
 
 
-def _chunked_run(monkeypatch, chunk, per_particle, run):
-    """``run()`` with the chunk budget set to ``chunk`` particles, and the
-    widths of the noise chunks it drew."""
+def _stepped_run(monkeypatch, chunk, per_particle, run):
+    """``run()`` with every particle stepped along its bridge, ``chunk``
+    particles per block, and the widths of the blocks it stepped."""
     widths = []
-    noise_chunk = integrate._noise_chunk
+    stepwise = kernels._em
 
-    def recording(seed, ids, steps, m):
-        widths.append(len(ids))
-        return noise_chunk(seed, ids, steps, m)
+    def spy(x, *args):
+        widths.append(x.shape[1])
+        return stepwise(x, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(integrate, "_CHUNK_BUDGET", chunk * per_particle)
-        patch.setattr(integrate, "_noise_chunk", recording)
+        patch.setattr(kernels, "_law_trusted", lambda *args: False)
+        patch.setattr(kernels, "STEP_BUDGET", chunk * max(per_particle, 1))
+        patch.setattr(kernels, "_em", spy)
         return run(), widths
 
 
@@ -137,11 +138,11 @@ def test_em_ensemble_matches_particles_and_any_chunking(cases, monkeypatch):
                                           tables=tables)
                 assert path.states[-1].tobytes() == end.particles[i].tobytes(), \
                     (index, kind, i)
-            per_particle = steps * max(tables.m_max, 1)
+            per_particle = steps * tables.m_max
             for chunk, ens, widths in ((1, sample_prior(3, prior, seed=index), [1] * 3),
                                        (63, start, [63, 3]), (64, start, [64, 2]),
                                        (65, start, [65, 1])):
-                got, seen = _chunked_run(
+                got, seen = _stepped_run(
                     monkeypatch, chunk, per_particle,
                     lambda: propagate_ensemble(ens, params, grid, prior, meas))
                 assert seen == widths
@@ -149,33 +150,23 @@ def test_em_ensemble_matches_particles_and_any_chunking(cases, monkeypatch):
                 assert got.particles.tobytes() == want.tobytes(), (index, kind, chunk)
 
 
-def test_em_collapsed_terminal_stays_near_the_stepwise_one(cases, monkeypatch):
-    stepwise = kernels._em
-    calls = []
-
-    def spy(x, *args):
-        calls.append(x.shape[1])
-        return stepwise(x, *args)
-
-    monkeypatch.setattr(kernels, "_em", spy)
+def test_em_collapsed_terminal_stays_near_the_stepwise_one(cases):
     for index, (prior, meas, presets, steps) in enumerate(cases):
         grid = LambdaGrid.uniform(steps)
         start = sample_prior(64, prior, seed=index)
         for kind in ("fixed_q", "constant_q", "diagnostic"):
             tables = build_tables(presets[kind], grid, prior, meas)
-            args = (start.particles, tables.a_nodes, tables.b_nodes,
-                    tables.q_factors,
-                    integrate._noise_chunk(index, range(64), steps, tables.m_max),
-                    tables.dlam)
-            collapsed = kernels.em_propagate(*args)
-            assert calls == [], (index, kind)
-            with monkeypatch.context() as patch:
-                patch.setattr(kernels, "_em_flagged",
-                              lambda x, *rest: np.ones(x.shape[1], dtype=bool))
-                stepped = kernels.em_propagate(*args)
-            assert calls.pop() == 64
-            assert collapsed[2:] == stepped[2:] == (0, -1, -1)
-            err = np.abs(collapsed[0] - stepped[0]).max() / np.abs(stepped[0]).max()
+            # Each particle's bridge increments, stepped by the plain
+            # Euler-Maruyama kernel.
+            xi = integrate._bridge_chunk(index, range(64),
+                                         *integrate._factored_law(tables))
+            stepped = kernels.em_propagate(
+                start.particles, tables.a_nodes, tables.b_nodes, tables.q_factors,
+                xi, tables.dlam)
+            collapsed = propagate_ensemble(start, presets[kind], grid, prior, meas,
+                                           noise_seed=index).particles
+            assert stepped[2:] == (0, -1, -1)
+            err = np.abs(collapsed - stepped[0]).max() / np.abs(stepped[0]).max()
             assert err <= 1e-13, (index, kind, err)
 
 

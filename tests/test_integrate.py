@@ -50,43 +50,82 @@ def test_rekeyed_generator_draws_the_fresh_stream():
         gen.integers(0, 10, size=3, dtype=np.uint32)
         reused = NoiseStream(seed, stream_id).normals(9, 2, gen)
         assert np.array_equal(reused, NoiseStream(seed, stream_id).normals(9, 2))
-    chunk = integrate._noise_chunk(11, range(4, 9), 6, 3)
-    for col, stream_id in enumerate(range(4, 9)):
-        assert np.array_equal(chunk[:, :, col], NoiseStream(11, stream_id).normals(6, 3))
+    heads = integrate._leading_normals(11, range(4, 9), 6)
+    for row, stream_id in enumerate(range(4, 9)):
+        assert np.array_equal(heads[row], NoiseStream(11, stream_id).normals(1, 6)[0])
+
+
+def test_leading_normals_are_each_streams_first_draws(monkeypatch):
+    seen = []
+    normals = NoiseStream.normals
+
+    def counting(self, rows, cols, gen=None, out=None):
+        seen.append((self.seed, self.stream_id, rows, cols))
+        return normals(self, rows, cols, gen, out)
+
+    monkeypatch.setattr(NoiseStream, "normals", counting)
+    heads = integrate._leading_normals(13, range(3, 134), 3)
+    assert seen == [(13, i, 1, 3) for i in range(3, 134)]
+    monkeypatch.undo()
+    # The first draws of a stream do not depend on how many follow.
+    expected = np.stack([NoiseStream(13, i).normals(4, 250).ravel()[:3]
+                         for i in range(3, 134)])
+    assert heads.tobytes() == expected.tobytes()
+
+
+def _small_law(kind="fixed_q"):
+    """The Euler-Maruyama law of a 2-D model on 5 steps: m = r = 2 for
+    fixed_q, m = r = 0 for the exact flow."""
+    prior = GaussianPrior(np.array([0.2, -0.1]), np.array([[2.0, 0.3], [0.3, 1.0]]))
+    meas = LinearMeasurement(np.eye(2), np.eye(2), np.array([1.0, 0.5]))
+    tables = build_tables(preset(kind, prior, meas), LambdaGrid.uniform(5), prior, meas)
+    return integrate._factored_law(tables)
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
 @pytest.mark.parametrize("first", [0, 9])
 def test_noise_chunk_stacks_each_streams_block(width, first):
+    # The bridge increments of a block of streams, as the flagged
+    # particles of an ensemble are stepped on.
+    law, f = _small_law()
     ids = range(first, first + width)
-    chunk = integrate._noise_chunk(13, ids, 5, 2)
-    expected = np.stack([NoiseStream(13, i).normals(5, 2) for i in ids], axis=2)
+    chunk = integrate._bridge_chunk(13, ids, law, f)
+    r, ut = f.shape[1], kernels._bridge_basis(law, f)
+    expected = []
+    for i in ids:
+        block = NoiseStream(13, i).normals(1, r + 10)[0]
+        expected.append(kernels._bridge(ut, block[:r], block[r:]).reshape(5, 2))
+    assert r == 2
     assert chunk.shape == (5, 2, width)
-    assert chunk.tobytes() == expected.tobytes()
+    assert chunk.tobytes() == np.stack(expected, axis=2).tobytes()
 
 
 def test_noise_chunk_draws_once_per_stream(monkeypatch):
     seen = []
     normals = NoiseStream.normals
 
-    def counting(self, steps, m, gen=None, out=None):
-        seen.append((self.seed, self.stream_id, steps, m))
-        return normals(self, steps, m, gen, out)
+    def counting(self, rows, cols, gen=None, out=None):
+        seen.append((self.seed, self.stream_id, rows, cols))
+        return normals(self, rows, cols, gen, out)
 
     monkeypatch.setattr(NoiseStream, "normals", counting)
-    integrate._noise_chunk(13, range(3, 134), 4, 2)
-    assert seen == [(13, i, 4, 2) for i in range(3, 134)]
+    law, f = _small_law()
+    integrate._bridge_chunk(13, range(3, 134), law, f)
+    # eta and zeta of a stream come from one call: r + steps * m normals.
+    assert seen == [(13, i, 1, 12) for i in range(3, 134)]
     seen.clear()
     # Without diffusion nothing is drawn and no stream is keyed.
-    assert integrate._noise_chunk(13, range(3, 134), 4, 0).shape == (4, 0, 131)
+    law, f = _small_law("exact")
+    assert integrate._bridge_chunk(13, range(3, 134), law, f).shape == (5, 0, 131)
     assert seen == []
 
 
 def test_noise_chunk_checks_the_seed_and_the_id_range():
+    law, f = _small_law()
     for seed, ids in ((-1, range(3)), (2**64, range(3)), (1, range(2**64 - 1, 2**64 + 1)),
                       (1, range(-1, 2))):
         with pytest.raises(ValueError, match="64-bit"):
-            integrate._noise_chunk(seed, ids, 4, 2)
+            integrate._bridge_chunk(seed, ids, law, f)
 
 
 def test_normals_fill_the_callers_buffer():
@@ -103,14 +142,16 @@ def test_single_euler_step_by_hand(canonical):
     params = preset("fixed_q", prior, meas)
     grid = LambdaGrid.uniform(1)
     tables = build_tables(params, grid, prior, meas)
-    noise = NoiseStream(99, 0)
-    xi = NoiseStream(99, 0).normals(1, tables.m_max)[0]
+    a, b, q = tables.a_nodes[0], tables.b_nodes[0], tables.q_factors[0]
+    # One step of size 1: Phi = 1 + a, d = b, Sigma = q q^T, and the
+    # terminal spends the stream's first r normals on F eta.
+    f = flows.diffusion_factor(q @ q.T)
+    eta = NoiseStream(99, 0).normals(1, f.shape[1])[0]
     x0 = np.array([0.3])
 
-    path = propagate_particle(x0, params, grid, noise, prior, meas)
-    a, b, q = tables.a_nodes[0], tables.b_nodes[0], tables.q_factors[0]
-    expected = (x0 + (a @ x0 + b) * 1.0) + (q @ xi) * 1.0
-    assert np.array_equal(path.states[1], expected)
+    path = propagate_particle(x0, params, grid, NoiseStream(99, 0), prior, meas)
+    expected = ((0.0 + (1.0 + a[0, 0]) * x0[0]) + f[0, 0] * eta[0]) + b[0]
+    assert path.states[1].tolist() == [expected]
     assert np.array_equal(path.states[0], x0)
 
 
@@ -201,14 +242,30 @@ def test_zero_diffusion_ensemble_draws_no_noise(monkeypatch, make_model):
         assert out.particles[i].tobytes() == solo.terminal.tobytes()
 
 
+def _untrusted_law(monkeypatch):
+    """Make every law fail its screen, so every particle is stepped."""
+    monkeypatch.setattr(kernels, "_law_trusted", lambda *args: False)
+
+
 def test_chunked_and_unchunked_ensembles_agree(monkeypatch, canonical):
     prior, meas = canonical
     params = preset("fixed_q", prior, meas)
     grid = LambdaGrid.uniform(30)
     ens = sample_prior(17, prior, seed=5)
     full = propagate_ensemble(ens, params, grid, prior, meas)
-    monkeypatch.setattr(integrate, "_CHUNK_BUDGET", 100)
+    # A prefix of the ensemble keeps its rows.
+    from flowfilt import ParticleEnsemble
+
+    head = ParticleEnsemble(ens.particles[:6], lam=0.0, seed=5)
+    assert np.array_equal(propagate_ensemble(head, params, grid, prior, meas).particles,
+                          full.particles[:6])
+    # Stepping every particle, three per block of bridge increments,
+    # leaves every row on its collapsed terminal.
+    _untrusted_law(monkeypatch)
+    monkeypatch.setattr(kernels, "STEP_BUDGET", 90)
+    widths = _stepwise_spy(monkeypatch)
     chunked = propagate_ensemble(ens, params, grid, prior, meas)
+    assert widths == [3] * 5 + [2]
     assert np.array_equal(full.particles, chunked.particles)
 
 
@@ -256,9 +313,10 @@ def test_divergence_in_a_later_chunk_names_the_global_particle(monkeypatch, cano
     particles = np.zeros((7, 1))
     particles[5] = 1e13
     ens = ParticleEnsemble(particles, lam=0.0, seed=4)
-    # 20 steps of one noise column: three particles per chunk, so the
-    # bad particle is row 2 of the second chunk.
-    monkeypatch.setattr(integrate, "_CHUNK_BUDGET", 60)
+    # Every particle stepped, 20 steps of one noise column: three
+    # particles per block, so the bad particle is row 2 of the second.
+    _untrusted_law(monkeypatch)
+    monkeypatch.setattr(kernels, "STEP_BUDGET", 60)
     with pytest.raises(DivergenceError) as info:
         propagate_ensemble(ens, params, grid, prior, meas)
     assert (info.value.step, info.value.particle) == (0, 5)
@@ -325,24 +383,26 @@ def test_flagged_particle_among_ordinary_ones_is_stepped_alone(monkeypatch,
     params = preset("fixed_q", prior, meas)
     grid = LambdaGrid.uniform(40)
     particles = sample_prior(6, prior, seed=8).particles.copy()
-    # max|x_0| alone passes limit / 2, so the bound flags this particle,
-    # but the flow contracts it and no state reaches the limit.
-    particles[3] = [0.6 * kernels.STATE_LIMIT, -0.4 * kernels.STATE_LIMIT]
+    # Its start is past the limit, so the rule flags it: it alone is
+    # stepped along its bridge, which names the step where it fails.
+    particles[3] = [1.5 * kernels.STATE_LIMIT, -0.4 * kernels.STATE_LIMIT]
     ens = ParticleEnsemble(particles, lam=0.0, seed=8)
     widths = _stepwise_spy(monkeypatch)
-    out = propagate_ensemble(ens, params, grid, prior, meas)
+    with pytest.raises(DivergenceError) as info:
+        propagate_ensemble(ens, params, grid, prior, meas)
     assert widths == [1]
-    solo = propagate_particle(particles[3], params, grid, NoiseStream(8, 3),
-                              prior, meas)
-    assert np.abs(solo.states).max() < kernels.STATE_LIMIT
-    assert solo.terminal.tobytes() == out.particles[3].tobytes()
-    # Every particle through the stepwise kernel: the flagged row is the
-    # same, and the others are the collapsed map's.
-    monkeypatch.setattr(kernels, "_em_flagged",
-                        lambda x, *args: np.ones(x.shape[1], dtype=bool))
-    stepped = propagate_ensemble(ens, params, grid, prior, meas)
-    assert stepped.particles[3].tobytes() == out.particles[3].tobytes()
-    assert_allclose(stepped.particles, out.particles, rtol=1e-13)
+    with pytest.raises(DivergenceError) as solo:
+        propagate_particle(particles[3], params, grid, NoiseStream(8, 3), prior, meas)
+    assert (info.value.step, info.value.particle) == (solo.value.step, 3)
+    # With every particle flagged, every one is stepped, and a particle
+    # that does not fail keeps its collapsed terminal.
+    ordinary = ParticleEnsemble(np.delete(particles, 3, axis=0), lam=0.0, seed=8)
+    out = propagate_ensemble(ordinary, params, grid, prior, meas)
+    widths.clear()
+    _untrusted_law(monkeypatch)
+    stepped = propagate_ensemble(ordinary, params, grid, prior, meas)
+    assert widths == [5]
+    assert stepped.particles.tobytes() == out.particles.tobytes()
 
 
 def test_benchmark_models_never_take_the_stepwise_path(monkeypatch, make_model):
@@ -420,4 +480,6 @@ def test_euler_tables_factor_the_diffusion_in_one_call(monkeypatch, make_model):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(integrate, "diffusion_factor", counting_factor)
     propagate_ensemble(ens, params, grid, prior, meas)
-    assert calls == {"eigh": 1, "diffusion_factor": 1}
+    # One stacked call factors the diffusion of every step, and one the
+    # covariance of the terminal law.
+    assert calls == {"eigh": 2, "diffusion_factor": 2}

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from flowfilt.kernels import (STATE_LIMIT, _em_flagged, _rk4_maps, em_propagate,
+from flowfilt import kernels
+from flowfilt.kernels import (STATE_LIMIT, _law_trusted, _rk4_maps, em_propagate,
                              rk4_propagate)
 
 
@@ -186,8 +187,8 @@ def _block(m, n_particles=5, steps=7, n=3):
 def test_em_matches_scalar_reference_bitwise(m, record):
     c = _block(m)
     steps = c["dlam"].shape[0]
-    expected = _em_ref(c["x0"], c["a"][:steps], c["b"][:steps], c["q"],
-                       c["noise"], c["dlam"])
+    expected = _em_step_ref(c["x0"], c["a"][:steps], c["b"][:steps], c["q"],
+                            c["noise"], c["dlam"])
     states, paths, code, step, particle = em_propagate(
         c["x0"], c["a"][:steps], c["b"][:steps], c["q"], c["noise"], c["dlam"],
         record=record)
@@ -263,7 +264,7 @@ def test_products_start_from_positive_zero(m):
     q = np.abs(c["q"]) + 0.1
     noise = np.full_like(c["noise"], -0.0)
     steps = c["dlam"].shape[0]
-    em = _em_ref(x0, a[:steps], b[:steps], q, noise, c["dlam"])
+    em = _em_step_ref(x0, a[:steps], b[:steps], q, noise, c["dlam"])
     got = em_propagate(x0, a[:steps], b[:steps], q, noise, c["dlam"], record=True)
     assert _same_bits(got[1], em)
     rk = _run_ref(x0, *_rk4_run(a, b, a[:steps], b[:steps], c["dlam"], 2))
@@ -316,24 +317,29 @@ def test_rk4_reports_smallest_failing_step_then_particle(nan_row, overflow_row,
     assert rk4_propagate(x0[:1], a, b, a[:steps], b[:steps], dlam)[2:] == (2, 1, 0)
 
 
-def test_rk4_large_phi_with_tiny_states_does_not_diverge():
+def test_rk4_large_phi_with_tiny_states_does_not_diverge(monkeypatch):
     steps, n = 50, 2
-    # Phi_50 is 2.2e17 (RK4's 2.22 per step against exp(0.8)), so the
-    # bound |Phi_50| max|x0| passes limit / 2 for the first two particles
-    # while every state stays below the limit.
+    # Phi_50 is 2.2e17 (RK4's 2.22 per step against exp(0.8)), so the law
+    # leaves the trusted range and every particle is stepped, while every
+    # state stays below the limit.
     a = np.broadcast_to(40.0 * np.eye(n), (steps + 1, n, n))
     b = np.zeros((steps + 1, n))
     dlam = np.full(steps, 1.0 / steps)
     x0 = np.array([[3e-6, -1e-6], [-2e-6, 3e-6], [0.0, 1e-7]])
     run = _rk4_run(a, b, a[:steps], b[:steps], dlam, 3)
-    growth = np.prod(np.abs(run[0]).sum(axis=2).max(axis=1))
-    flagged = growth * np.abs(x0).max(axis=1) > 0.5 * STATE_LIMIT
-    assert flagged.tolist() == [True, True, False]
-    # Flagged particles end on their stepped state, the others on the
-    # collapsed map's.
+    assert np.abs(np.linalg.multi_dot(run[0][::-1])).max() > STATE_LIMIT
+    assert not _law_trusted(*run[:3], STATE_LIMIT)
+    # Nothing fails, so every particle keeps the collapsed map's terminal.
     expected = _run_ref(x0, *run)
-    expected[flagged] = _step_ref(x0, *run)[flagged]
     assert np.abs(expected).max() < STATE_LIMIT
+    widths = []
+    stepwise = kernels._em
+
+    def spy(x, *args):
+        widths.append(x.shape[1])
+        return stepwise(x, *args)
+
+    monkeypatch.setattr(kernels, "_em", spy)
     for record in (False, True):
         states, paths, code, step, particle = rk4_propagate(
             x0, a, b, a[:steps], b[:steps], dlam, record=record)
@@ -341,6 +347,7 @@ def test_rk4_large_phi_with_tiny_states_does_not_diverge():
         assert _same_bits(states, expected[:, -1])
         if record:
             assert _same_bits(paths, expected)
+    assert widths == [3, 3]
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -466,6 +473,29 @@ def test_em_overflowing_chain_reports_the_stepwise_failure(record):
 
 
 @pytest.mark.parametrize("record", [False, True])
+def test_run_without_a_finite_law_ends_on_the_stepped_state(record):
+    # The maps of test_em_overflowing_chain_reports_the_stepwise_failure:
+    # the backward chain passes the float range, so there is no law, and
+    # every particle is stepped and ends on its stepped state.
+    n = 2
+    scale = np.array([2.0 ** -52] * 20 + [2.0 ** 173] * 6)
+    steps = scale.size
+    mk = scale[:, None, None] * np.eye(n)
+    law = kernels._em_law(mk, np.zeros((steps, n, 0)), np.zeros((steps, n)))
+    assert law.ct is None and not law.trusted
+    x0 = np.array([[1e11, -3e10], [3e11, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states, paths, code, step, particle = kernels._affine_run(
+            x0, law, np.zeros((n, 0)), np.zeros((0, 2)),
+            lambda idx: np.zeros((steps, 0, len(idx))), record)
+    assert (code, step, particle) == (0, -1, -1)
+    assert _same_bits(states, 0.25 * x0)
+    if record:
+        assert _same_bits(paths[:, -1], 0.25 * x0)
+
+
+@pytest.mark.parametrize("record", [False, True])
 @pytest.mark.parametrize("step, particle", [(0, 1), (2, 3)])
 def test_em_noise_grown_by_later_maps_is_reported(step, particle, record):
     steps, n = 8, 2
@@ -484,18 +514,25 @@ def test_em_noise_grown_by_later_maps_is_reported(step, particle, record):
     assert got[2:] == expected
 
 
-def test_em_chunk_screen_flags_what_the_per_particle_bound_flags():
+def test_law_screen_never_clears_a_law_that_leaves_the_range():
     rng = np.random.default_rng(12)
-    x = rng.standard_normal((3, 40))
-    xi = rng.standard_normal((30, 40))
-    xi[7, 5] = 60.0
-    coeffs = alpha, beta, gamma = 2.0, 3.0, 0.5
-    own = alpha * np.abs(x).max(axis=0) + beta * np.abs(xi).max(axis=0) + gamma
-    # Particle 5 sits exactly at limit / 2 and every other particle far
-    # below it; a NaN draw flags its particle alone.
-    limit = 2.0 * own[5]
-    assert not _em_flagged(x, xi, coeffs, limit).any()
-    assert np.flatnonzero(_em_flagged(x, xi, coeffs,
-                                      limit * (1.0 - 1e-12))).tolist() == [5]
-    xi[2, 9] = np.nan
-    assert np.flatnonzero(_em_flagged(x, xi, coeffs, limit)).tolist() == [9]
+    steps, n, m = 30, 3, 2
+    # Maps near the identity, as Euler steps are: the screen stays within
+    # a factor 100 of the exact law here.
+    mk = np.eye(n) + 0.02 * rng.standard_normal((steps, n, n))
+    gk = 0.3 * rng.standard_normal((steps, n, m))
+    g = rng.standard_normal((steps, n))
+    # The law at every step, chained forwards one step at a time.
+    phi, d, sigma, worst = np.eye(n), np.zeros(n), np.zeros((n, n)), 0.0
+    for k in range(steps):
+        phi, d = mk[k] @ phi, mk[k] @ d + g[k]
+        sigma = mk[k] @ sigma @ mk[k].T + gk[k] @ gk[k].T
+        worst = max(worst, np.abs(phi).max(), np.abs(d).max(), np.abs(sigma).max())
+    assert not _law_trusted(mk, gk, g, worst * (1.0 - 1e-9))
+    assert _law_trusted(mk, gk, g, 1e2 * worst)
+    # A NaN map, or norms whose product underflows, only flags more.
+    bad = mk.copy()
+    bad[7, 1, 2] = np.nan
+    assert not _law_trusted(bad, gk, g, 1e2 * worst)
+    tiny = np.broadcast_to(1e-30 * np.eye(n), (steps, n, n))
+    assert not _law_trusted(tiny, gk, g, 1e2 * worst)

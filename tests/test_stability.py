@@ -146,6 +146,32 @@ def test_check_ftcs_lambda1_is_the_earliest_interior_entry():
         assert res.verdict == (w[0] >= 1.0 or want is not None)
 
 
+def test_ftcs_crossing_inside_the_last_step_is_located():
+    # dx = -x dlam from x0 = 1: v = exp(-2 lam) crosses beta = exp(-1.86)
+    # at lam 0.93, inside the last step (0.9, 1) of a 10-step grid.  Only
+    # the last node is below beta, yet the verdict must not depend on
+    # whether a node falls after the crossing.
+    s = np.eye(1)
+    beta = np.exp(-1.86)
+    verdicts = []
+    for steps in (10, 20, 40):
+        grid = LambdaGrid.uniform(steps)
+        traj = linear_error_trajectory(np.ones(1), lambda lam: -np.eye(1), grid, s)
+        res = check_ftcs(traj, alpha=2.0, beta=beta, gamma=4.0, s_weight=s)
+        verdicts.append(res.verdict)
+        assert 0.0 < res.lambda1 < 1.0
+        if steps == 10:
+            assert traj.v_s[-2] >= beta > traj.v_s[-1]
+            assert res.lambda1 == pytest.approx(0.93, abs=1e-6)
+    assert verdicts == [True, True, True]
+    # Without a crossing the verdict stays false: v ends at exp(-2) above
+    # a beta of exp(-2.1).
+    traj = linear_error_trajectory(np.ones(1), lambda lam: -np.eye(1),
+                                   LambdaGrid.uniform(10), s)
+    res = check_ftcs(traj, alpha=2.0, beta=np.exp(-2.1), gamma=4.0, s_weight=s)
+    assert not res.verdict and res.lambda1 is None
+
+
 def test_check_ftss_stable_flow(canonical):
     prior, meas = canonical
     params = preset("fixed_q", prior, meas)
@@ -255,13 +281,21 @@ def test_build_stability_report(canonical):
     assert set(payload) == {"fts", "ftcs", "ftss", "sigma", "regime"}
 
 
-def test_refinement_guard_names_the_verdict_that_changed():
+def test_refinement_guard_names_the_verdict_that_changed(monkeypatch):
     # V_S = 0.999 / (1 + lam / 2.99) drops below beta_c = 0.75 at lam 0.9927,
-    # between the last two coarse nodes: the coarse grid sees it only at
-    # lam 1, which is not interior, and the refined grid at lam 0.995.
+    # between the last two coarse nodes.  The crossing is located inside
+    # that step, so both grids agree.
     prior = GaussianPrior(np.zeros(1), np.eye(1))
     meas = LinearMeasurement(np.eye(1), np.array([[2.99]]), np.array([1.0]))
     params = preset("exact", prior, meas)
+    report = build_stability_report(params, prior, meas, LambdaGrid.uniform(100),
+                                    n_mc=200, seed=0)
+    assert report.ftcs.verdict
+    assert report.ftcs.lambda1 == pytest.approx(2.99 * (0.999 / 0.75 - 1.0), abs=1e-6)
+    # Judged at the nodes alone, the coarse grid sees the entry only at
+    # lam 1, which is not interior, and the refined grid at lam 0.995:
+    # the guard names that change.
+    monkeypatch.setattr(stability, "_last_step_crossing", lambda *args: None)
     with pytest.raises(RuntimeError) as info:
         build_stability_report(params, prior, meas, LambdaGrid.uniform(100),
                                n_mc=200, seed=0)
