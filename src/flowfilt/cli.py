@@ -245,11 +245,13 @@ def _run_flow_path(cfg, prior, meas, params, grid, outdir, outputs):
     path0 = propagate_particle(ensemble.particles[0], params, grid,
                                NoiseStream(cfg.seed, 0), prior, meas)
     updated = propagate_ensemble(ensemble, params, grid, prior, meas)
+    # The estimates need two particles; a smaller ensemble is a config error.
+    with _config_values("ensemble"):
+        report = estimator_report(updated, prior, meas)
     io.write_path_csv(outdir / "path.csv", path0)
     outputs.append("path.csv")
     io.write_ensemble_csv(outdir / "ensemble.csv", updated)
     outputs.append("ensemble.csv")
-    report = estimator_report(updated, prior, meas)
     return {
         "terminal_state_particle_0": path0.terminal,
         "mean_estimate": report.mean,
@@ -330,8 +332,8 @@ def _run_sequential(cfg, prior, meas, params, grid, outdir, outputs):
             n_steps=block["n_steps"],
             truth_seed=block["truth_seed"],
         )
-    result = run_sequential(prior, meas, params, grid, scenario,
-                            cfg.n_particles, cfg.seed)
+        result = run_sequential(prior, meas, params, grid, scenario,
+                                cfg.n_particles, cfg.seed)
     io.write_sequential_csv(outdir / "sequential.csv", result)
     outputs.append("sequential.csv")
     return {

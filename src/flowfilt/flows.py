@@ -47,16 +47,22 @@ def _sym(a: np.ndarray) -> np.ndarray:
 def _first_indefinite(t: np.ndarray) -> tuple[int, Optional[float]]:
     """First matrix of ``t`` (one matrix or a stack) that is not positive
     semidefinite up to a scaled eigenvalue tolerance, as ``(index, margin)``
-    with margin its smallest eigenvalue over its largest magnitude;
-    ``(-1, None)`` when every matrix passes."""
+    with margin its smallest eigenvalue over its largest magnitude, or None
+    when that is not finite; ``(-1, None)`` when every matrix passes.  A
+    matrix with a NaN or infinite entry has NaN eigenvalues and fails."""
     w = np.linalg.eigvalsh(_sym(t).reshape(-1, *t.shape[-2:]))
     scale = np.maximum(np.abs(w).max(axis=1), 1e-300)
     w_min = w.min(axis=1)
-    bad = np.nonzero(w_min < -_ADMISSIBILITY_TOL * scale)[0]
+    # Written so that NaN fails it too.
+    bad = np.nonzero(~(w_min >= -_ADMISSIBILITY_TOL * scale))[0]
     if not bad.size:
         return -1, None
     i = int(bad[0])
-    return i, float(w_min[i] / scale[i])
+    return i, _finite_or_none(w_min[i] / scale[i])
+
+
+def _finite_or_none(value) -> Optional[float]:
+    return float(value) if np.isfinite(value) else None
 
 
 def is_admissible(K, derivs: HomotopyDerivatives) -> bool:
@@ -120,13 +126,12 @@ class FlowParameterization:
     """
 
     def __init__(self, kind: str, description: str, k_builder, q_builder=None,
-                 analytic_admissible: bool = False, descriptor: Optional[dict] = None):
+                 analytic_admissible: bool = False):
         self.kind = kind
         self.description = description
         self._k_builder = k_builder
         self._q_builder = q_builder
         self.analytic_admissible = analytic_admissible
-        self.descriptor = dict(descriptor or {"flow": kind})
 
     def __repr__(self):
         return f"FlowParameterization({self.kind!r})"
@@ -294,8 +299,9 @@ def diffusion_factor(Q, lambdas=None) -> np.ndarray:
     function of it.
 
     Raises AdmissibilityError when a matrix is indefinite beyond
-    tolerance, with the first failing matrix's margin; ``lambdas``, the
-    lam value of each matrix in a stack, names its lam on the error.
+    tolerance or not finite, with the first failing matrix's margin (None
+    when that is not finite); ``lambdas``, the lam value of each matrix
+    in a stack, names its lam on the error.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim not in (2, 3) or Q.shape[-1] != Q.shape[-2]:
@@ -306,7 +312,8 @@ def diffusion_factor(Q, lambdas=None) -> np.ndarray:
     w, vecs = np.linalg.eigh(_sym(stack))
     scale = np.abs(w).max(axis=1)
     w_min = w.min(axis=1)
-    bad = np.flatnonzero(w_min < -_INDEFINITE_TOL * scale)
+    # NaN fails it too: a non-finite matrix has NaN eigenvalues.
+    bad = np.flatnonzero(~(w_min >= -_INDEFINITE_TOL * scale))
     if bad.size:
         i = int(bad[0])
         where = "" if Q.ndim == 2 else (
@@ -314,7 +321,8 @@ def diffusion_factor(Q, lambdas=None) -> np.ndarray:
         raise AdmissibilityError(
             f"diffusion is indefinite{where}: min eigenvalue {w_min[i]:.3e} "
             f"of scale {scale[i]:.3e}",
-            lam=None if lambdas is None else lambdas[i], margin=w_min[i] / scale[i])
+            lam=None if lambdas is None else lambdas[i],
+            margin=_finite_or_none(w_min[i] / scale[i]))
     w = np.maximum(w, 0.0)
     # Eigenvalues ascend, so the kept ones of each matrix are its last rank.
     rank = np.count_nonzero(w > 1e-12 * scale[:, None], axis=1)
@@ -353,7 +361,6 @@ def exact_flow() -> FlowParameterization:
         description="deterministic flow with zero diffusion",
         k_builder=_exact_k,
         analytic_admissible=True,
-        descriptor={"flow": "exact"},
     )
 
 
@@ -365,7 +372,6 @@ def fixed_q() -> FlowParameterization:
         description="zero schedule matrix; measurement-shaped diffusion",
         k_builder=_zero_k,
         analytic_admissible=True,
-        descriptor={"flow": "fixed_q"},
     )
 
 
@@ -394,7 +400,6 @@ def constant_q(Q0) -> FlowParameterization:
         k_builder=k_builder,
         q_builder=q_builder,
         analytic_admissible=True,
-        descriptor={"flow": "constant_q", "Q0": q0.tolist()},
     )
 
 
@@ -421,7 +426,6 @@ def k_schedule(fn: Callable[[float], np.ndarray],
         kind="k_schedule",
         description=description,
         k_builder=k_builder,
-        descriptor={"flow": "k_schedule"},
     )
 
 
@@ -453,7 +457,6 @@ def reference_flow(a_hat: Callable[[float], np.ndarray],
         kind="reference",
         description=description,
         k_builder=k_builder,
-        descriptor={"flow": "reference"},
     )
 
 
@@ -481,7 +484,6 @@ def diagnostic_noise(alpha: float) -> FlowParameterization:
         description=f"reference flow around the zero-diffusion drift, alpha={alpha}",
         k_builder=k_builder,
         analytic_admissible=True,
-        descriptor={"flow": "diagnostic", "alpha": alpha},
     )
 
 

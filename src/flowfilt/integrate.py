@@ -5,12 +5,12 @@ deterministic scheme is reserved for flows whose diffusion vanishes on
 the whole grid.  Every flow here is linear-Gaussian, so with its start
 fixed an Euler-Maruyama run is affine in its noise and its terminal has
 the Gaussian law ``N(Phi x0 + d, Sigma)`` (see :mod:`flowfilt.kernels`).
-An ensemble update chains that law once, factors ``Sigma = F F^T`` with
-:func:`diffusion_factor`, draws ``r = rank Sigma`` normals ``eta`` per
-particle and forms ``Phi x0 + F eta + d``: each terminal keeps exactly the
-law of the stepwise scheme.  A recorded run steps the same particle along
-per-step increments conditioned on its eta, and its last node is the same
-terminal.
+A run chains that law and its factor ``Sigma = F F^T`` once, draws
+``r = rank Sigma`` normals ``eta`` per particle and forms
+``Phi x0 + F eta + d``: each terminal keeps exactly the law of the
+stepwise scheme.  A recorded particle is the one-row case of the same
+run: it is stepped along per-step increments conditioned on its eta, and
+its last node is the same terminal.
 
 All noise comes from counter-based generators keyed by
 ``(seed, stream_id)``, so any particle can be replayed in isolation and
@@ -88,15 +88,14 @@ class NoiseStream:
     """Reproducible source of standard normal draws.
 
     The draws are a pure function of ``(seed, stream_id)``, and a longer
-    block extends a shorter one.  A particle's stream starts with the r
-    normals ``eta`` of its terminal; a recorded run reads the
-    ``steps * m`` normals ``zeta`` of its bridge increments right after
-    them.  ``counter`` records how many rows have been handed out.
+    block extends a shorter one, so every read of a stream starts at its
+    head.  A particle's stream starts with the r normals ``eta`` of its
+    terminal; the ``steps * m`` normals ``zeta`` of its bridge increments
+    follow them.
     """
 
     seed: int
     stream_id: int
-    counter: int = 0
 
     def __post_init__(self):
         self.seed = _check_seed(self.seed)
@@ -115,10 +114,8 @@ class NoiseStream:
         """
         if not isinstance(gen, _Keyring):
             gen = _Keyring(gen)
-        out = gen.keyed(self.seed, self.stream_id).standard_normal(
+        return gen.keyed(self.seed, self.stream_id).standard_normal(
             (int(rows), int(cols)), out=out)
-        self.counter = int(rows)
-        return out
 
 
 @dataclass(frozen=True)
@@ -144,7 +141,6 @@ class CoefficientTables:
     a_mids: np.ndarray = None
     b_mids: np.ndarray = None
     q_factors: np.ndarray = None  # (steps, n, m_max), zero-padded
-    m_max: int = 0
 
 
 def build_tables(params: FlowParameterization, grid: LambdaGrid,
@@ -176,7 +172,7 @@ def build_tables(params: FlowParameterization, grid: LambdaGrid,
     q_factors = diffusion_factor(q_left, lambdas=left)
     return CoefficientTables(scheme="euler_maruyama", dlam=grid.dlam,
                              a_nodes=a_left, b_nodes=b_left,
-                             q_factors=q_factors, m_max=q_factors.shape[2])
+                             q_factors=q_factors)
 
 
 def _raise_divergence(code: int, step: int, particle: int, nodes: np.ndarray,
@@ -187,16 +183,6 @@ def _raise_divergence(code: int, step: int, particle: int, nodes: np.ndarray,
     raise DivergenceError(f"propagation diverged ({kind}) at {where}, lam {lam:.6g}",
                           step=step, particle=particle if not single else -1,
                           lam=lam)
-
-
-def _factored_law(tables: CoefficientTables):
-    """The terminal law of an Euler-Maruyama run on the tables, and the
-    (n, r) factor F of its covariance; r = 0 when there is no law."""
-    law = kernels._em_law(*kernels._em_maps(tables.a_nodes, tables.b_nodes,
-                                            tables.q_factors, tables.dlam))
-    if law.sigma is None:
-        return law, np.zeros((tables.a_nodes.shape[1], 0))
-    return law, diffusion_factor(law.sigma)
 
 
 def _leading_normals(seed: int, ids, count: int) -> np.ndarray:
@@ -220,36 +206,54 @@ def _leading_normals(seed: int, ids, count: int) -> np.ndarray:
     return out[:, 0, :]
 
 
-def _bridge_chunk(seed: int, ids, law, f) -> np.ndarray:
+def _bridge_chunk(seed: int, ids, law) -> np.ndarray:
     """Bridge increments of the streams ``(seed, i)``, i in ids, in the
     kernels' (steps, m, N) layout.
 
     Each stream's ``r + steps * m`` normals are drawn by one call of
     :func:`_leading_normals`: the terminal's eta, then the zeta that
-    :func:`kernels._bridge` conditions on it.  So a particle's block is
-    the one :func:`propagate_particle` steps on the same stream.
+    :func:`kernels._bridge` conditions on it.
     """
     steps, _, m = law.gk.shape
-    r = f.shape[1]
+    r = law.f.shape[1]
     draws = _leading_normals(seed, ids, r + steps * m)
-    ut = kernels._bridge_basis(law, f)
+    ut = kernels._bridge_basis(law)
     out = np.empty((steps * m, len(ids)))
     for col, block in enumerate(draws):
         out[:, col] = kernels._bridge(ut, block[:r], block[r:])
     return out.reshape(steps, m, len(ids))
 
 
+def _run(x, tables: CoefficientTables, seed: int, ids, record: bool = False):
+    """Propagate the (N, n) states on the tables, row i on the stream
+    ``(seed, ids[i])``, and return the kernels' 5-tuple.
+
+    The only place that picks the kernel for a scheme; RK4 draws nothing.
+    Euler-Maruyama builds the law once and draws each row's eta; the
+    bridge increments after it are drawn only for the rows the kernel
+    steps (flagged ones, or all with ``record``).
+    """
+    if tables.scheme == "rk4":
+        return kernels.rk4_propagate(x, tables.a_nodes, tables.b_nodes,
+                                     tables.a_mids, tables.b_mids, tables.dlam,
+                                     record=record)
+    law = kernels._em_law(*kernels._em_maps(tables.a_nodes, tables.b_nodes,
+                                            tables.q_factors, tables.dlam))
+    eta = _leading_normals(seed, ids, law.f.shape[1])
+    return kernels._affine_run(
+        x, law, eta.T, lambda idx: _bridge_chunk(seed, [ids[i] for i in idx], law),
+        record)
+
+
 def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
                        noise: NoiseStream, prior: GaussianPrior,
-                       meas: LinearMeasurement,
-                       tables: CoefficientTables = None) -> ParticlePath:
+                       meas: LinearMeasurement) -> ParticlePath:
     """Propagate a single state from lam 0 to 1, recording the whole path.
 
-    The stochastic scheme reads ``r + steps * m`` normals from the stream
-    in one call: the terminal's ``eta``, then the ``zeta`` of its bridge
-    increments (see :mod:`flowfilt.kernels`).  The path is stepped along
-    the bridge, and its last node is the collapsed terminal, bit for bit
-    the row that :func:`propagate_ensemble` gives this stream.
+    The state is the one-row ensemble on the stream ``noise``, so its last
+    node is, bit for bit, the row that :func:`propagate_ensemble` gives
+    this stream.  The stochastic scheme reads the terminal's ``eta`` and
+    then the ``zeta`` of the bridge the path is stepped along.
 
     Args:
         x0: initial state of dimension n.
@@ -258,8 +262,6 @@ def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
         noise: noise stream consumed by the stochastic scheme; the
             deterministic scheme draws nothing.
         prior, meas: the model.
-        tables: optional precomputed coefficients for this grid; tables
-            built for another scheme or other step sizes raise ValueError.
 
     Returns:
         ParticlePath with ``steps + 1`` states.
@@ -267,25 +269,9 @@ def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (prior.n,):
         raise ValueError(f"x0 must have shape {(prior.n,)}, got {x0.shape}")
-    if tables is None:
-        tables = build_tables(params, grid, prior, meas)
-    elif tables.scheme != grid.scheme:
-        raise ValueError(f"tables were built for the {tables.scheme} scheme, "
-                         f"but the grid uses {grid.scheme}")
-    elif not np.array_equal(tables.dlam, grid.dlam):
-        raise ValueError("tables were built on a grid with other step sizes")
-    if tables.scheme == "rk4":
-        _, paths, code, step, particle = kernels.rk4_propagate(
-            x0[None, :], tables.a_nodes, tables.b_nodes,
-            tables.a_mids, tables.b_mids, tables.dlam, record=True)
-    else:
-        law, f = _factored_law(tables)
-        r, size = f.shape[1], grid.steps * tables.m_max
-        block = noise.normals(1, r + size)[0] if r + size else np.zeros(0)
-        xi = kernels._bridge(kernels._bridge_basis(law, f), block[:r], block[r:])
-        _, paths, code, step, particle = kernels._affine_run(
-            x0[None, :], law, f, block[:r, None],
-            lambda idx: xi.reshape(grid.steps, tables.m_max, 1), record=True)
+    _, paths, code, step, particle = _run(
+        x0[None, :], build_tables(params, grid, prior, meas), noise.seed,
+        [noise.stream_id], record=True)
     if code:
         _raise_divergence(code, step, particle, grid.nodes, single=True)
     return ParticlePath(nodes=grid.nodes.copy(), states=paths[0])
@@ -315,18 +301,9 @@ def propagate_ensemble(ensemble, params: FlowParameterization, grid: LambdaGrid,
             f"ensemble dimension {ensemble.n} does not match model dimension {prior.n}"
         )
     seed = _check_seed(ensemble.seed if noise_seed is None else noise_seed)
-    tables = build_tables(params, grid, prior, meas)
-    x = np.array(ensemble.particles, dtype=float)
-
-    if tables.scheme == "rk4":
-        out, _, code, step, particle = kernels.rk4_propagate(
-            x, tables.a_nodes, tables.b_nodes, tables.a_mids, tables.b_mids,
-            tables.dlam, record=False)
-    else:
-        law, f = _factored_law(tables)
-        eta = _leading_normals(seed, range(x.shape[0]), f.shape[1])
-        out, _, code, step, particle = kernels._affine_run(
-            x, law, f, eta.T, lambda idx: _bridge_chunk(seed, idx, law, f))
+    out, _, code, step, particle = _run(ensemble.particles,
+                                        build_tables(params, grid, prior, meas),
+                                        seed, range(ensemble.n_particles))
     if code:
         _raise_divergence(code, step, particle, grid.nodes, single=False)
     return ParticleEnsemble(particles=out, lam=1.0, seed=ensemble.seed)

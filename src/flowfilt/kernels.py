@@ -12,8 +12,9 @@ Gaussian noise: ``x_N = Phi_N x_0 + sum_j W_j xi_j + d_N`` with
 ``N(Phi_N x_0 + d_N, Sigma)`` with ``Sigma = sum_j W_j W_j^T``, and one
 particle needs only ``r = rank Sigma <= n`` normals ``eta``:
 ``x_N = Phi_N x_0 + F eta + d_N`` with ``F F^T = Sigma``.  :func:`_em_law`
-chains the augmented maps backwards once into ``Phi_N``, ``d_N`` and W and
-sums Sigma in a fixed order; the caller factors it and draws eta;
+chains the augmented maps backwards once into ``Phi_N``, ``d_N`` and W,
+sums Sigma in a fixed order and factors it into F with
+:func:`~flowfilt.flows.diffusion_factor`; the caller draws eta, and
 :func:`_affine_run` applies ``[Phi_N | F]`` and ``d_N`` to every column.
 RK4 is the r = 0 case of the same apply.
 
@@ -68,6 +69,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+from .flows import diffusion_factor
 
 # States with any coordinate beyond this magnitude count as diverged.
 STATE_LIMIT = 1e12
@@ -265,8 +268,10 @@ def _law_trusted(mk, gk, g, limit):
 class _Law(NamedTuple):
     """The maps of a run and the law of its terminal given its start.
 
-    ``ct`` is ``[Phi_N^T; W^T]`` of :func:`_em_collapse` and ``sigma`` is
-    ``W W^T``; both are None when the chained maps leave the float range.
+    ``ct`` is ``[Phi_N^T; W^T]`` of :func:`_em_collapse`, ``sigma`` is
+    ``W W^T`` and ``f`` its (n, r) factor.  ``ct`` and ``sigma`` are None
+    when the chained maps leave the float range; f has no columns then,
+    and when m = 0 or Sigma is not finite (such a law is never trusted).
     """
 
     mk: np.ndarray
@@ -275,37 +280,40 @@ class _Law(NamedTuple):
     ct: np.ndarray
     d: np.ndarray
     sigma: np.ndarray
+    f: np.ndarray
     trusted: bool
 
 
 def _em_law(mk, gk, g, limit=STATE_LIMIT):
-    """Chain the maps into ``Phi_N``, ``d_N`` and W once, and sum
-    ``Sigma = W W^T``.
+    """Chain the maps into ``Phi_N``, ``d_N`` and W once, sum
+    ``Sigma = W W^T`` and factor it as ``F F^T``.
 
     The sum runs over the columns of W in ascending order with no BLAS
     call (einsum without optimization), so Sigma is exactly symmetric and
     does not depend on the thread count.
     """
+    n, m = gk.shape[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         ct, d = _em_collapse(mk, gk, g)
         trusted = ct is not None and _law_trusted(mk, gk, g, limit)
-        sigma = None
+        sigma, f = None, np.zeros((n, 0))
         if ct is not None:
-            wt = ct[mk.shape[1]:]
-            sigma = np.einsum("ki,kj->ij", wt, wt, optimize=False)
-    return _Law(mk, gk, g, ct, d, sigma, trusted)
+            sigma = np.einsum("ki,kj->ij", ct[n:], ct[n:], optimize=False)
+            if m and np.isfinite(sigma).all():
+                f = diffusion_factor(sigma)
+    return _Law(mk, gk, g, ct, d, sigma, f, trusted)
 
 
-def _bridge_basis(law, f):
+def _bridge_basis(law):
     """``U^T = W^T (F^+)^T`` as (steps m, r), with ``F^+ = diag(1/|f_c|^2) F^T``
     (the columns of F are orthogonal).  Summed over the n columns of W
     in ascending order, without BLAS."""
-    steps, _, m = law.gk.shape
-    ut = np.zeros((steps * m, f.shape[1]))
-    if law.ct is None or not f.shape[1]:
+    steps, n, m = law.gk.shape
+    ut = np.zeros((steps * m, law.f.shape[1]))
+    if not law.f.shape[1]:
         return ut
-    fp = f / np.einsum("jc,jc->c", f, f)
-    for j, col in enumerate(law.ct[f.shape[0]:].T):
+    fp = law.f / np.einsum("jc,jc->c", law.f, law.f)
+    for j, col in enumerate(law.ct[n:].T):
         ut += col[:, None] * fp[j]
     return ut
 
@@ -342,11 +350,11 @@ def _in_range(x, limit):
     return (np.abs(x) <= limit).all(axis=0)
 
 
-def _affine_run(x0, law, f, eta, increments, record=False, limit=STATE_LIMIT):
+def _affine_run(x0, law, eta, increments, record=False, limit=STATE_LIMIT):
     """Propagate the (N, n) states to the terminal ``Phi x0 + F eta + d``.
 
-    ``f`` is the (n, r) factor of ``law.sigma`` and ``eta`` the (r, N)
-    draws; ``increments(idx)`` returns the (steps, m, len(idx)) bridge
+    ``eta`` holds the (r, N) draws for the factor ``law.f``;
+    ``increments(idx)`` returns the (steps, m, len(idx)) bridge
     increments of the particles idx, which only flagged particles and
     recorded runs need.  Flagged particles (see the module docstring) are
     stepped in blocks of ``STEP_BUDGET`` increments; with ``record`` every
@@ -363,7 +371,7 @@ def _affine_run(x0, law, f, eta, increments, record=False, limit=STATE_LIMIT):
     code, step, particle = 0, -1, -1
     # An overflow is reported through the divergence code, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.empty_like(x) if law.ct is None else _apply(law.ct[:n], f.T,
+        out = np.empty_like(x) if law.ct is None else _apply(law.ct[:n], law.f.T,
                                                               law.d, x, eta)
         if record or not law.trusted:
             idx = np.arange(count)
@@ -431,5 +439,5 @@ def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
     steps, n = c.shape
     count = np.atleast_2d(x0).shape[0]
     return _affine_run(x0, _em_law(t, np.zeros((steps, n, 0)), c, limit),
-                       np.zeros((n, 0)), np.zeros((0, count)),
+                       np.zeros((0, count)),
                        lambda idx: np.zeros((steps, 0, len(idx))), record, limit)

@@ -124,8 +124,12 @@ def run_sequential(prior: GaussianPrior, meas: LinearMeasurement,
 
     Returns per-step root-mean-square errors (normalized by sqrt(n)) and
     the Frobenius gap between the ensemble covariance and the oracle's.
+    Raises ValueError for fewer than two particles, which cannot be refit.
     """
     n_particles = int(n_particles)
+    if n_particles < 2:
+        raise ValueError("the ensemble needs at least 2 particles to refit a "
+                         f"Gaussian, got {n_particles}")
     truth, zs = _simulate_truth(prior, meas, scenario)
     ensemble = sample_prior(n_particles, prior, ensemble_seed)
     x = np.array(ensemble.particles)
@@ -142,9 +146,9 @@ def run_sequential(prior: GaussianPrior, meas: LinearMeasurement,
         process_gen = make_generator(derive_seed(ensemble_seed, k), PROCESS_STREAM)
         x = x @ scenario.F.T + process_gen.standard_normal(x.shape) @ chol_w.T
 
-        step_prior = GaussianPrior(np.mean(x, axis=0), _sample_cov(x))
-        step_meas = LinearMeasurement(meas.H, meas.R, zs[k])
         staged = ParticleEnsemble(particles=x, lam=0.0, seed=ensemble_seed)
+        step_prior = GaussianPrior(mean_estimate(staged), covariance_estimate(staged))
+        step_meas = LinearMeasurement(meas.H, meas.R, zs[k])
         updated = propagate_ensemble(staged, params, grid, step_prior, step_meas,
                                      noise_seed=derive_seed(ensemble_seed, 2**32 + k))
         x = np.array(updated.particles)
@@ -160,9 +164,3 @@ def run_sequential(prior: GaussianPrior, meas: LinearMeasurement,
 
     return SequentialResult(steps=steps, rmse_flow=rmse_flow,
                             rmse_kalman=rmse_kalman, cov_gap=cov_gap)
-
-
-def _sample_cov(x: np.ndarray) -> np.ndarray:
-    centered = x - np.mean(x, axis=0)
-    cov = np.einsum("ki,kj->ij", centered, centered) / (x.shape[0] - 1)
-    return 0.5 * (cov + cov.T)

@@ -408,13 +408,15 @@ def contraction_rate(params: FlowParameterization, prior: GaussianPrior,
 
     Q0 is inferred as the smallest diffusion eigenvalue over the grid
     nodes, clipped at zero; sigma is zero whenever the diffusion loses
-    rank somewhere.
+    rank somewhere.  A diffusion that is not finite on the grid raises
+    AdmissibilityError.
     """
     qs = params.q_stack(grid.nodes, prior, meas)
     w = np.linalg.eigvalsh(0.5 * (qs + np.swapaxes(qs, 1, 2)))
-    q_floor = max(float(w.min()), 0.0)
-    s_min = float(np.linalg.eigvalsh(prior.precision).min())
-    return q_floor * s_min
+    q_floor = float(w.min())
+    if np.isnan(q_floor):  # a non-finite matrix has NaN eigenvalues
+        raise AdmissibilityError("diffusion is not finite on the grid")
+    return max(q_floor, 0.0) * float(np.linalg.eigvalsh(prior.precision).min())
 
 
 def classify_regime(params: FlowParameterization, prior: GaussianPrior,
@@ -423,8 +425,8 @@ def classify_regime(params: FlowParameterization, prior: GaussianPrior,
 
     Zero diffusion everywhere preserves V_M exactly; semidefinite
     diffusion makes it non-increasing; uniformly positive definite
-    diffusion forces exponential decay.  An indefinite diffusion raises
-    AdmissibilityError.
+    diffusion forces exponential decay.  An indefinite or non-finite
+    diffusion raises AdmissibilityError.
     """
     qs = params.q_stack(grid.nodes, prior, meas)
     scale = float(np.abs(qs).max())
@@ -432,7 +434,8 @@ def classify_regime(params: FlowParameterization, prior: GaussianPrior,
         return Regime.CONSTANT_V
     w = np.linalg.eigvalsh(0.5 * (qs + np.swapaxes(qs, 1, 2)))
     min_eig = float(w.min())
-    if min_eig < -1e-10 * scale:
+    # Written so that NaN fails it too.
+    if not min_eig >= -1e-10 * scale:
         raise AdmissibilityError(
             f"diffusion is indefinite on the grid (min eigenvalue {min_eig:.3e})"
         )

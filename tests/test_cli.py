@@ -138,6 +138,10 @@ _SEQUENTIAL = {"F": [[1.0]], "W": [[0.1]], "n_steps": 5, "truth_seed": 11}
                           sequential=dict(_SEQUENTIAL, F=[[1.0, 0.0]]))),
     ("flow.alpha", dict(flow={"flow": "diagnostic", "alpha": "x"})),
     ("flow.Q0", dict(flow={"flow": "constant_q", "Q0": "x"})),
+    # One particle has no sample covariance to estimate or refit.
+    ("ensemble", dict(ensemble={"n_particles": 1, "seed": 99})),
+    ("sequential", dict(experiment="sequential", ensemble={"n_particles": 1, "seed": 4},
+                        sequential=_SEQUENTIAL)),
 ])
 def test_run_exit_code_for_malformed_option_values(tmp_path, capsys, key, overrides):
     path = _base_config(tmp_path, **overrides)

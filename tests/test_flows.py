@@ -408,3 +408,44 @@ def test_diffusion_factor_follows_the_sign_rule_and_q_continuously():
                     assert got.shape == base.shape
                     change = np.abs(got - base).max() / np.abs(base).max()
                     assert change < 1e-12, (n, i, j, change)
+
+
+def test_positivity_tests_reject_non_finite_matrices(make_model):
+    # A NaN or infinite entry gives NaN eigenvalues, which no comparison
+    # accepts: every positivity test fails them, with no finite margin.
+    from flowfilt import FlowParameterization, LambdaGrid
+    from flowfilt.integrate import build_tables
+    from flowfilt.stability import classify_regime, contraction_rate
+
+    prior, meas = make_model(np.random.default_rng(31), 2, 1)
+    nan = np.full((2, 2), np.nan)
+    assert not is_admissible(nan, _derivs(prior, meas))
+    with pytest.raises(AdmissibilityError, match="semidefinite") as info:
+        constant_q(nan)
+    assert info.value.margin is None
+    for q in (nan, np.diag([np.inf, 1.0])):
+        with pytest.raises(AdmissibilityError) as info:
+            diffusion_factor(q)
+        assert info.value.margin is None
+    with pytest.raises(AdmissibilityError) as info:
+        diffusion_factor(np.stack([np.eye(2), nan]), lambdas=np.array([0.0, 0.5]))
+    assert (info.value.lam, info.value.margin) == (0.5, None)
+
+    nan_q = FlowParameterization(
+        "nan_q", "diffusion NaN everywhere",
+        k_builder=lambda lambdas, prior, meas: np.zeros((lambdas.size, 2, 2)),
+        q_builder=lambda lambdas, prior, meas: np.full((lambdas.size, 2, 2), np.nan),
+        analytic_admissible=True)
+    grid = LambdaGrid.uniform(8)
+    with pytest.raises(AdmissibilityError):
+        classify_regime(nan_q, prior, meas, grid)
+    with pytest.raises(AdmissibilityError):
+        contraction_rate(nan_q, prior, meas, grid)
+
+    # NaN only at lam = 0.375, between the validation nodes: the grid
+    # that reaches it names it.
+    params = preset("k_schedule", prior, meas,
+                    k_fn=lambda lam: nan if lam == 0.375 else np.zeros((2, 2)))
+    with pytest.raises(AdmissibilityError) as info:
+        build_tables(params, grid, prior, meas)
+    assert (info.value.lam, info.value.margin) == (0.375, None)

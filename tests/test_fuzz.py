@@ -100,7 +100,7 @@ def test_rk4_ensemble_matches_particles_and_the_stagewise_scheme(cases):
         tables = build_tables(presets["exact"], grid, prior, meas)
         for i, x0 in enumerate(start.particles):
             path = propagate_particle(x0, presets["exact"], grid, NoiseStream(0, i),
-                                      prior, meas, tables=tables)
+                                      prior, meas)
             assert path.states[-1].tobytes() == end.particles[i].tobytes(), (index, i)
         ref = _stagewise_rk4(tables, start.particles)
         err = np.abs(end.particles - ref).max() / np.abs(ref).max()
@@ -134,11 +134,10 @@ def test_em_ensemble_matches_particles_and_any_chunking(cases, monkeypatch):
             end = propagate_ensemble(start, params, grid, prior, meas)
             for i in (0, 1, 62, 63, 64, 65):
                 path = propagate_particle(start.particles[i], params, grid,
-                                          NoiseStream(index, i), prior, meas,
-                                          tables=tables)
+                                          NoiseStream(index, i), prior, meas)
                 assert path.states[-1].tobytes() == end.particles[i].tobytes(), \
                     (index, kind, i)
-            per_particle = steps * tables.m_max
+            per_particle = steps * tables.q_factors.shape[2]
             for chunk, ens, widths in ((1, sample_prior(3, prior, seed=index), [1] * 3),
                                        (63, start, [63, 3]), (64, start, [64, 2]),
                                        (65, start, [65, 1])):
@@ -158,8 +157,9 @@ def test_em_collapsed_terminal_stays_near_the_stepwise_one(cases):
             tables = build_tables(presets[kind], grid, prior, meas)
             # Each particle's bridge increments, stepped by the plain
             # Euler-Maruyama kernel.
-            xi = integrate._bridge_chunk(index, range(64),
-                                         *integrate._factored_law(tables))
+            law = kernels._em_law(*kernels._em_maps(
+                tables.a_nodes, tables.b_nodes, tables.q_factors, tables.dlam))
+            xi = integrate._bridge_chunk(index, range(64), law)
             stepped = kernels.em_propagate(
                 start.particles, tables.a_nodes, tables.b_nodes, tables.q_factors,
                 xi, tables.dlam)

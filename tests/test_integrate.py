@@ -39,7 +39,6 @@ def test_noise_stream_replays_from_the_key():
     # A longer block extends the shorter one; the prefix never moves.
     longer = NoiseStream(5, 1).normals(8, 2)
     assert np.array_equal(longer[:4], first)
-    assert s.counter == 4
 
 
 def test_rekeyed_generator_draws_the_fresh_stream():
@@ -79,7 +78,8 @@ def _small_law(kind="fixed_q"):
     prior = GaussianPrior(np.array([0.2, -0.1]), np.array([[2.0, 0.3], [0.3, 1.0]]))
     meas = LinearMeasurement(np.eye(2), np.eye(2), np.array([1.0, 0.5]))
     tables = build_tables(preset(kind, prior, meas), LambdaGrid.uniform(5), prior, meas)
-    return integrate._factored_law(tables)
+    return kernels._em_law(*kernels._em_maps(tables.a_nodes, tables.b_nodes,
+                                             tables.q_factors, tables.dlam))
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
@@ -87,10 +87,10 @@ def _small_law(kind="fixed_q"):
 def test_noise_chunk_stacks_each_streams_block(width, first):
     # The bridge increments of a block of streams, as the flagged
     # particles of an ensemble are stepped on.
-    law, f = _small_law()
+    law = _small_law()
     ids = range(first, first + width)
-    chunk = integrate._bridge_chunk(13, ids, law, f)
-    r, ut = f.shape[1], kernels._bridge_basis(law, f)
+    chunk = integrate._bridge_chunk(13, ids, law)
+    r, ut = law.f.shape[1], kernels._bridge_basis(law)
     expected = []
     for i in ids:
         block = NoiseStream(13, i).normals(1, r + 10)[0]
@@ -109,23 +109,22 @@ def test_noise_chunk_draws_once_per_stream(monkeypatch):
         return normals(self, rows, cols, gen, out)
 
     monkeypatch.setattr(NoiseStream, "normals", counting)
-    law, f = _small_law()
-    integrate._bridge_chunk(13, range(3, 134), law, f)
+    integrate._bridge_chunk(13, range(3, 134), _small_law())
     # eta and zeta of a stream come from one call: r + steps * m normals.
     assert seen == [(13, i, 1, 12) for i in range(3, 134)]
     seen.clear()
     # Without diffusion nothing is drawn and no stream is keyed.
-    law, f = _small_law("exact")
-    assert integrate._bridge_chunk(13, range(3, 134), law, f).shape == (5, 0, 131)
+    chunk = integrate._bridge_chunk(13, range(3, 134), _small_law("exact"))
+    assert chunk.shape == (5, 0, 131)
     assert seen == []
 
 
 def test_noise_chunk_checks_the_seed_and_the_id_range():
-    law, f = _small_law()
+    law = _small_law()
     for seed, ids in ((-1, range(3)), (2**64, range(3)), (1, range(2**64 - 1, 2**64 + 1)),
                       (1, range(-1, 2))):
         with pytest.raises(ValueError, match="64-bit"):
-            integrate._bridge_chunk(seed, ids, law, f)
+            integrate._bridge_chunk(seed, ids, law)
 
 
 def test_normals_fill_the_callers_buffer():
@@ -173,11 +172,9 @@ def test_ensemble_rows_replay_single_particle_runs(make_model):
     grid = LambdaGrid.uniform(50)
     ens = sample_prior(6, prior, seed=123)
     out = propagate_ensemble(ens, params, grid, prior, meas)
-    tables = build_tables(params, grid, prior, meas)
     for i in range(6):
         solo = propagate_particle(ens.particles[i], params, grid,
-                                  NoiseStream(123, i), prior, meas,
-                                  tables=tables)
+                                  NoiseStream(123, i), prior, meas)
         assert np.array_equal(out.particles[i], solo.terminal)
 
 
@@ -206,11 +203,9 @@ def test_ensemble_output_depends_only_on_slot(make_model):
     shuffled = ParticleEnsemble(base.particles[perm], 0.0, 77)
     out_base = propagate_ensemble(base, params, grid, prior, meas)
     out_shuf = propagate_ensemble(shuffled, params, grid, prior, meas)
-    tables = build_tables(params, grid, prior, meas)
     for slot in range(5):
         solo = propagate_particle(shuffled.particles[slot], params, grid,
-                                  NoiseStream(77, slot), prior, meas,
-                                  tables=tables)
+                                  NoiseStream(77, slot), prior, meas)
         assert np.array_equal(out_shuf.particles[slot], solo.terminal)
     # Slot 1 holds the same state in both orderings, so it must agree.
     assert np.array_equal(out_base.particles[1], out_shuf.particles[1])
@@ -233,12 +228,10 @@ def test_zero_diffusion_ensemble_draws_no_noise(monkeypatch, make_model):
     out = propagate_ensemble(ens, params, grid, prior, meas)
     assert calls == []
     monkeypatch.undo()
-    tables = build_tables(params, grid, prior, meas)
-    assert tables.m_max == 0
+    assert build_tables(params, grid, prior, meas).q_factors.shape[2] == 0
     for i in range(9):
         solo = propagate_particle(ens.particles[i], params, grid,
-                                  NoiseStream(31, i), prior, meas,
-                                  tables=tables)
+                                  NoiseStream(31, i), prior, meas)
         assert out.particles[i].tobytes() == solo.terminal.tobytes()
 
 
@@ -341,25 +334,6 @@ def test_propagate_particle_rejects_wrong_dimension(canonical):
     with pytest.raises(ValueError, match="shape"):
         propagate_particle(np.zeros(2), params, grid, NoiseStream(0, 0),
                            prior, meas)
-
-
-def test_propagate_particle_rejects_tables_of_another_grid(canonical):
-    prior, meas = canonical
-    params = preset("fixed_q", prior, meas)
-    uniform = LambdaGrid.uniform(10)
-    geometric = LambdaGrid(np.concatenate([[0.0], np.geomspace(1e-3, 1.0, 10)]))
-    tables = build_tables(params, uniform, prior, meas)
-    with pytest.raises(ValueError, match="step sizes"):
-        propagate_particle(np.zeros(1), params, geometric, NoiseStream(0, 0),
-                           prior, meas, tables=tables)
-    rk4 = LambdaGrid.uniform(10, scheme="rk4")
-    with pytest.raises(ValueError, match="scheme"):
-        propagate_particle(np.zeros(1), params, rk4, NoiseStream(0, 0),
-                           prior, meas, tables=tables)
-    exact = preset("exact", prior, meas)
-    with pytest.raises(ValueError, match="scheme"):
-        propagate_particle(np.zeros(1), exact, uniform, NoiseStream(0, 0), prior,
-                           meas, tables=build_tables(exact, rk4, prior, meas))
 
 
 def _stepwise_spy(monkeypatch):
@@ -467,7 +441,7 @@ def test_euler_tables_factor_the_diffusion_in_one_call(monkeypatch, make_model):
     grid = LambdaGrid.uniform(200)
     ens = sample_prior(5, prior, seed=3)
     calls = {"eigh": 0, "diffusion_factor": 0}
-    eigh, factor = np.linalg.eigh, integrate.diffusion_factor
+    eigh, factor = np.linalg.eigh, flows.diffusion_factor
 
     def counting_eigh(*args, **kwargs):
         calls["eigh"] += 1
@@ -478,7 +452,9 @@ def test_euler_tables_factor_the_diffusion_in_one_call(monkeypatch, make_model):
         return factor(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    # The tables factor the diffusion in integrate, the law Sigma in kernels.
     monkeypatch.setattr(integrate, "diffusion_factor", counting_factor)
+    monkeypatch.setattr(kernels, "diffusion_factor", counting_factor)
     propagate_ensemble(ens, params, grid, prior, meas)
     # One stacked call factors the diffusion of every step, and one the
     # covariance of the terminal law.

@@ -487,12 +487,27 @@ def test_run_without_a_finite_law_ends_on_the_stepped_state(record):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         states, paths, code, step, particle = kernels._affine_run(
-            x0, law, np.zeros((n, 0)), np.zeros((0, 2)),
+            x0, law, np.zeros((0, 2)),
             lambda idx: np.zeros((steps, 0, len(idx))), record)
     assert (code, step, particle) == (0, -1, -1)
     assert _same_bits(states, 0.25 * x0)
     if record:
         assert _same_bits(paths[:, -1], 0.25 * x0)
+
+
+def test_law_past_the_float_range_has_no_factor_and_is_not_trusted():
+    # W entries of 1e200 square past the float range: Sigma is inf, so it
+    # gets no factor, and the untrusted law has every particle stepped.
+    steps, n = 3, 2
+    gk = np.broadcast_to(1e200 * np.eye(n), (steps, n, n))
+    law = kernels._em_law(np.broadcast_to(np.eye(n), (steps, n, n)), gk,
+                          np.zeros((steps, n)))
+    assert law.ct is not None and np.isinf(np.diag(law.sigma)).all()
+    assert law.f.shape == (n, 0) and not law.trusted
+    # The stepped particle names the step where it leaves the range.
+    got = kernels._affine_run(np.zeros((1, n)), law, np.zeros((0, 1)),
+                              lambda idx: np.ones((steps, n, len(idx))))
+    assert got[2:] == (2, 0, 0)
 
 
 @pytest.mark.parametrize("record", [False, True])

@@ -37,6 +37,11 @@ def _model(seed, n, d):
 MODELS = ((101, 4, 2), (102, 3, 1), (103, 2, 2))
 
 
+def _law(tables):
+    return kernels._em_law(*kernels._em_maps(tables.a_nodes, tables.b_nodes,
+                                             tables.q_factors, tables.dlam))
+
+
 def _stepwise_law(tables):
     """Phi_N, d_N and ``sum_j W_j W_j^T`` one step at a time, forwards for
     Phi and d and backwards for the W_j."""
@@ -60,7 +65,8 @@ def test_law_matches_the_stepwise_sums(seed, n, d, kind):
     prior, meas = _model(seed, n, d)
     params = preset(kind, prior, meas, **({"Q0": np.eye(n)} if kind == "constant_q" else {}))
     tables = build_tables(params, LambdaGrid.uniform(300), prior, meas)
-    law, f = integrate._factored_law(tables)
+    law = _law(tables)
+    f = law.f
     phi, d_n, sigma = _stepwise_law(tables)
 
     def rel(got, want):
@@ -84,7 +90,8 @@ def test_terminal_moments_match_stepwise_em_terminals():
     x0 = np.array([0.4, -1.0, 2.0])
     start = ParticleEnsemble(np.tile(x0, (count, 1)), lam=0.0, seed=7)
     collapsed = propagate_ensemble(start, params, grid, prior, meas).particles
-    noise = np.random.default_rng(8).standard_normal((grid.steps, tables.m_max, count))
+    noise = np.random.default_rng(8).standard_normal(
+        (grid.steps, tables.q_factors.shape[2], count))
     stepped, _, code, _, _ = kernels.em_propagate(
         start.particles, tables.a_nodes, tables.b_nodes, tables.q_factors, noise,
         tables.dlam)
@@ -111,7 +118,8 @@ def test_rank_deficient_law_draws_r_normals_per_particle(monkeypatch):
     params = preset("fixed_q", prior, meas)
     grid = LambdaGrid.uniform(40)
     ens = sample_prior(25, prior, seed=9)
-    law, f = integrate._factored_law(build_tables(params, grid, prior, meas))
+    law = _law(build_tables(params, grid, prior, meas))
+    f = law.f
     assert f.shape == (3, 1)
     seen = []
     normals = NoiseStream.normals
@@ -155,8 +163,9 @@ def test_bridge_carries_the_collapsed_noise(seed, n, d):
     params = preset("fixed_q", prior, meas)
     grid = LambdaGrid.uniform(200)
     tables = build_tables(params, grid, prior, meas)
-    law, f = integrate._factored_law(tables)
-    ut, r = kernels._bridge_basis(law, f), f.shape[1]
+    law = _law(tables)
+    f, m = law.f, tables.q_factors.shape[2]
+    ut, r = kernels._bridge_basis(law), f.shape[1]
     wt = law.ct[n:]
     x0 = prior.x_prior
     for stream_id in range(5):
@@ -168,14 +177,39 @@ def test_bridge_carries_the_collapsed_noise(seed, n, d):
         assert np.abs(wt.T @ xi - f @ eta).max() <= 1e-12 * np.abs(f @ eta).max()
         stepped = kernels.em_propagate(x0[None, :], tables.a_nodes, tables.b_nodes,
                                        tables.q_factors,
-                                       xi.reshape(grid.steps, tables.m_max, 1),
+                                       xi.reshape(grid.steps, m, 1),
                                        tables.dlam, record=True)[1][0]
         path = propagate_particle(x0, params, grid, NoiseStream(11, stream_id),
-                                  prior, meas, tables=tables)
+                                  prior, meas)
         # The recorded path is the stepped bridge, and its last node the
         # collapsed terminal, which the bridge reaches to rounding.
         assert path.states[:-1].tobytes() == stepped[:-1].tobytes()
         assert np.abs(path.terminal - stepped[-1]).max() <= 1e-12 * np.abs(stepped[-1]).max()
+
+
+def test_widest_stream_id_replays_to_its_terminal_law():
+    prior, meas = _model(101, 4, 2)
+    params = preset("fixed_q", prior, meas)
+    grid = LambdaGrid.uniform(50)
+    law = _law(build_tables(params, grid, prior, meas))
+    n, r = law.f.shape
+    steps_m = law.ct.shape[0] - n
+    seed, wide, x0 = 17, 2**64 - 1, prior.x_prior + 0.3
+    path = propagate_particle(x0, params, grid, NoiseStream(seed, wide), prior, meas)
+    # The terminal is Phi x0 + F eta + d in the contract's order: from
+    # +0.0, the terms of [x0; eta] ascending, then d.
+    eta = NoiseStream(seed, wide).normals(1, r)[0]
+    terminal = np.zeros(n)
+    for coef, z in zip([*law.ct[:n], *law.f.T], [*x0, *eta]):
+        terminal = terminal + coef * z
+    assert path.terminal.tobytes() == (terminal + law.d).tobytes()
+    # The path is the bridge of one block of r + steps m normals.
+    block = NoiseStream(seed, wide).normals(1, r + steps_m)[0]
+    xi = kernels._bridge(kernels._bridge_basis(law), block[:r], block[r:])
+    stepped = kernels._affine_run(x0[None], law, block[:r, None],
+                                  lambda idx: xi.reshape(grid.steps, -1, 1),
+                                  record=True)[1][0]
+    assert path.states.tobytes() == stepped.tobytes()
 
 
 def _stiff_scalar():
@@ -204,10 +238,9 @@ def test_rows_equal_particles_for_any_size_and_a_flagged_particle(count, monkeyp
     monkeypatch.setattr(kernels, "_em", spy)
     out = propagate_ensemble(ens, params, grid, prior, meas)
     assert widths == [1]
-    tables = build_tables(params, grid, prior, meas)
     for i in range(count):
         path = propagate_particle(particles[i], params, grid, NoiseStream(12, i),
-                                  prior, meas, tables=tables)
+                                  prior, meas)
         assert path.terminal.tobytes() == out.particles[i].tobytes(), i
         if i == flagged:
             assert np.abs(path.states[1:]).max() < kernels.STATE_LIMIT
