@@ -242,9 +242,11 @@ def _build_flow(cfg: ExperimentConfig, prior, meas):
 
 def _run_flow_path(cfg, prior, meas, params, grid, outdir, outputs):
     ensemble = sample_prior(cfg.n_particles, prior, cfg.seed)
-    path0 = propagate_particle(ensemble.particles[0], params, grid,
-                               NoiseStream(cfg.seed, 0), prior, meas)
-    updated = propagate_ensemble(ensemble, params, grid, prior, meas)
+    # An rk4 grid with a stochastic flow is a config mismatch.
+    with _config_values("grid"):
+        path0 = propagate_particle(ensemble.particles[0], params, grid,
+                                   NoiseStream(cfg.seed, 0), prior, meas)
+        updated = propagate_ensemble(ensemble, params, grid, prior, meas)
     # The estimates need two particles; a smaller ensemble is a config error.
     with _config_values("ensemble"):
         report = estimator_report(updated, prior, meas)
@@ -298,6 +300,7 @@ def _run_consistency(cfg, prior, meas, params, grid, outdir, outputs):
 
 def _run_stability(cfg, prior, meas, params, grid, outdir, outputs):
     opts = cfg.stability
+    seed = int(opts.get("seed", cfg.seed))
     with _config_values("stability"):
         report = build_stability_report(
             params, prior, meas, grid,
@@ -306,8 +309,12 @@ def _run_stability(cfg, prior, meas, params, grid, outdir, outputs):
             gamma=float(opts.get("gamma", 4.0)),
             epsilon=float(opts.get("epsilon", 0.25)),
             n_mc=int(opts.get("n_mc", 2000)),
-            seed=int(opts.get("seed", cfg.seed)),
+            seed=seed,
         )
+        summary = report.to_dict()
+        if cfg.flow["flow"] == "exact":
+            summary["ellipsoid_deviation"] = ellipsoid_invariance_check(
+                prior, meas, grid, int(opts.get("ellipsoid_particles", 16)), seed)
     from .stability import error_trajectory
 
     scale = np.sqrt(report.fts.alpha)
@@ -315,11 +322,6 @@ def _run_stability(cfg, prior, meas, params, grid, outdir, outputs):
     traj = error_trajectory(x1, prior.x_prior, params, grid, prior, meas)
     io.write_trace_csv(outdir / "lyapunov.csv", traj)
     outputs.append("lyapunov.csv")
-    summary = report.to_dict()
-    if cfg.flow["flow"] == "exact":
-        summary["ellipsoid_deviation"] = ellipsoid_invariance_check(
-            prior, meas, grid, int(opts.get("ellipsoid_particles", 16)),
-            int(opts.get("seed", cfg.seed)))
     return summary
 
 

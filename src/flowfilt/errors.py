@@ -14,7 +14,7 @@ class AdmissibilityError(ValueError):
         lam: lam value of the first failing node (None when unknown).
         margin: smallest eigenvalue of the failing test matrix divided by
             its largest eigenvalue magnitude (None when no positivity
-            test failed).
+            test failed, or the matrix is not finite).
     """
 
     def __init__(self, message, lam=None, margin=None):

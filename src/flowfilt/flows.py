@@ -11,7 +11,7 @@ different particle trajectories but identical marginal densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -19,11 +19,9 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import AdmissibilityError
 from .model import GaussianPrior, HomotopyDerivatives, LinearMeasurement, _check_lambda
 
-# Eigenvalues of the admissibility test matrix below -tol * norm mean the
-# requested K has no valid diffusion; slightly negative values are noise.
+# A matrix with an eigenvalue below -tol times its largest eigenvalue
+# magnitude is indefinite; slightly negative eigenvalues are rounding noise.
 _ADMISSIBILITY_TOL = 1e-10
-# Hard failure threshold for a requested diffusion matrix.
-_INDEFINITE_TOL = 1e-8
 # Number of lam nodes used to vet a parameterization at construction.
 _VALIDATION_GRID = 101
 
@@ -44,25 +42,61 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _first_indefinite(t: np.ndarray) -> tuple[int, Optional[float]]:
-    """First matrix of ``t`` (one matrix or a stack) that is not positive
-    semidefinite up to a scaled eigenvalue tolerance, as ``(index, margin)``
-    with margin its smallest eigenvalue over its largest magnitude, or None
-    when that is not finite; ``(-1, None)`` when every matrix passes.  A
-    matrix with a NaN or infinite entry has NaN eigenvalues and fails."""
-    w = np.linalg.eigvalsh(_sym(t).reshape(-1, *t.shape[-2:]))
-    scale = np.maximum(np.abs(w).max(axis=1), 1e-300)
+def _psd_spectrum(w: np.ndarray, what: str, lambdas=None):
+    """The package's one positive-semidefiniteness rule, applied to the
+    ascending eigenvalues ``w`` (L, n) of a stack of symmetric matrices.
+
+    With ``s`` a matrix's largest eigenvalue magnitude, the matrix passes
+    when its eigenvalues are finite and none lies below
+    ``-_ADMISSIBILITY_TOL * s``.  Returns the clamped eigenvalues, in
+    which every eigenvalue at or below ``1e-12 * s`` counts as exactly 0,
+    and each matrix's rank, its count of eigenvalues above that cut.
+
+    Otherwise raises AdmissibilityError for the first failing matrix.  Its
+    message starts with ``what``, and it carries the matrix's lam (from
+    ``lambdas``, when given) and margin ``min(w) / s`` (None when an
+    eigenvalue is not finite, as for a matrix with a NaN or inf entry).
+    """
+    scale = np.abs(w).max(axis=1)
     w_min = w.min(axis=1)
+    finite = np.isfinite(w).all(axis=1)
     # Written so that NaN fails it too.
-    bad = np.nonzero(~(w_min >= -_ADMISSIBILITY_TOL * scale))[0]
-    if not bad.size:
-        return -1, None
-    i = int(bad[0])
-    return i, _finite_or_none(w_min[i] / scale[i])
+    bad = np.flatnonzero(~(finite & (w_min >= -_ADMISSIBILITY_TOL * scale)))
+    if bad.size:
+        i = int(bad[0])
+        lam = None if lambdas is None else lambdas[i]
+        where = (f" at lam={lam:.6f}" if lam is not None
+                 else f" at index {i}" if w.shape[0] > 1 else "")
+        raise AdmissibilityError(
+            f"{what}{where}: min eigenvalue {w_min[i]:.3e} of scale {scale[i]:.3e}",
+            lam=lam, margin=w_min[i] / scale[i] if finite[i] else None)
+    keep = w > 1e-12 * scale[:, None]
+    return np.where(keep, w, 0.0), np.count_nonzero(keep, axis=1)
 
 
-def _finite_or_none(value) -> Optional[float]:
-    return float(value) if np.isfinite(value) else None
+def _require_psd(q: np.ndarray, name: str) -> None:
+    """Reject a requested diffusion that is not symmetric or not positive
+    semidefinite."""
+    if np.abs(q - q.T).max() > 1e-12 * max(np.abs(q).max(), 1e-300):
+        raise AdmissibilityError(f"{name} must be symmetric")
+    _psd_spectrum(np.linalg.eigvalsh(_sym(q))[None],
+                  f"{name} must be positive semidefinite")
+
+
+def _require_admissible(params, ks: np.ndarray, g_info: np.ndarray,
+                        lambdas: np.ndarray) -> None:
+    """Positivity test of ``K + K^T + H^T R^-1 H`` on a stack of K."""
+    _psd_spectrum(np.linalg.eigvalsh(_sym(ks + np.swapaxes(ks, 1, 2) + g_info)),
+                  f"flow {params.kind!r} is inadmissible", lambdas)
+
+
+def _diffusion_spectrum(params, prior: GaussianPrior, meas: LinearMeasurement,
+                        lambdas: np.ndarray):
+    """Clamped eigenvalues and rank of a flow's diffusion at each lam, as
+    :func:`_psd_spectrum` returns them; an indefinite or non-finite
+    diffusion raises AdmissibilityError naming its lam."""
+    return _psd_spectrum(np.linalg.eigvalsh(_sym(params.q_stack(lambdas, prior, meas))),
+                         f"flow {params.kind!r} has an indefinite diffusion", lambdas)
 
 
 def is_admissible(K, derivs: HomotopyDerivatives) -> bool:
@@ -75,7 +109,11 @@ def is_admissible(K, derivs: HomotopyDerivatives) -> bool:
     n = derivs.M.shape[0]
     if K.shape != (n, n):
         raise ValueError(f"K must have shape {(n, n)}, got {K.shape}")
-    return _first_indefinite(K + K.T - derivs.hess_log_h)[0] < 0
+    try:
+        _psd_spectrum(np.linalg.eigvalsh(_sym(K + K.T - derivs.hess_log_h))[None], "K")
+    except AdmissibilityError:
+        return False
+    return True
 
 
 def q_from_k(K, derivs: HomotopyDerivatives) -> np.ndarray:
@@ -93,11 +131,7 @@ def k_from_q(Q, derivs: HomotopyDerivatives) -> np.ndarray:
     n = derivs.M.shape[0]
     if Q.shape != (n, n):
         raise ValueError(f"Q must have shape {(n, n)}, got {Q.shape}")
-    if np.abs(Q - Q.T).max() > 1e-12 * max(np.abs(Q).max(), 1e-300):
-        raise AdmissibilityError("Q must be symmetric")
-    bad, margin = _first_indefinite(Q)
-    if bad >= 0:
-        raise AdmissibilityError("Q must be positive semidefinite", margin=margin)
+    _require_psd(Q, "Q")
     return 0.5 * (derivs.M @ Q @ derivs.M) + 0.5 * derivs.hess_log_h
 
 
@@ -125,10 +159,9 @@ class FlowParameterization:
     schedule and its induced diffusion on a batch of lam values.
     """
 
-    def __init__(self, kind: str, description: str, k_builder, q_builder=None,
+    def __init__(self, kind: str, k_builder, q_builder=None,
                  analytic_admissible: bool = False):
         self.kind = kind
-        self.description = description
         self._k_builder = k_builder
         self._q_builder = q_builder
         self.analytic_admissible = analytic_admissible
@@ -163,17 +196,9 @@ class FlowParameterization:
         stateful callables, which would break reproducibility.
         """
         lambdas = np.linspace(0.0, 1.0, grid_points)
-        ks = self.k_stack(lambdas, prior, meas)
-        bad, margin = _first_indefinite(ks + np.swapaxes(ks, 1, 2) + meas.info_matrix)
-        if bad >= 0:
-            raise AdmissibilityError(
-                f"flow {self.kind!r} is inadmissible at lam={lambdas[bad]:.4f}",
-                lam=lambdas[bad], margin=margin)
-        bad, margin = _first_indefinite(self.q_stack(lambdas, prior, meas))
-        if bad >= 0:
-            raise AdmissibilityError(
-                f"flow {self.kind!r} has an indefinite diffusion at lam={lambdas[bad]:.4f}",
-                lam=lambdas[bad], margin=margin)
+        _require_admissible(self, self.k_stack(lambdas, prior, meas),
+                            meas.info_matrix, lambdas)
+        _diffusion_spectrum(self, prior, meas, lambdas)
         probe = lambdas[[grid_points // 2]]
         k1 = self.k_stack(probe, prior, meas)
         k2 = self.k_stack(probe, prior, meas)
@@ -218,11 +243,7 @@ def affine_tables(params: FlowParameterization, prior: GaussianPrior,
     ks = params.k_stack(lambdas, prior, meas)
 
     if not params.analytic_admissible:
-        bad, margin = _first_indefinite(ks + np.swapaxes(ks, 1, 2) + g_info)
-        if bad >= 0:
-            raise AdmissibilityError(
-                f"flow {params.kind!r} is inadmissible at lam={lambdas[bad]:.6f}",
-                lam=lambdas[bad], margin=margin)
+        _require_admissible(params, ks, g_info, lambdas)
 
     a_stack = -(m_inv @ (g_info + ks))
 
@@ -286,10 +307,12 @@ def diffusion_factor(Q, lambdas=None) -> np.ndarray:
     """Factor a symmetric PSD diffusion as ``Q = q q^T``.
 
     ``Q`` is one (n, n) matrix or an (L, n, n) stack, factored with one
-    stacked eigendecomposition.  Eigenvalues of a matrix below its noise
-    floor (``1e-12`` times its largest eigenvalue magnitude) are clamped
-    to zero and dropped, so one matrix gives shape (n, m) with m its
-    numerical rank, and a zero matrix gives (n, 0).  A stack gives
+    stacked eigendecomposition.  Its spectrum is read by the package's one
+    semidefiniteness rule: with ``s`` a matrix's largest eigenvalue
+    magnitude, the matrix passes when its eigenvalues are finite and none
+    lies below ``-1e-10 s``, and eigenvalues at or below ``1e-12 s`` count
+    as exactly zero and are dropped.  So one matrix gives shape (n, m)
+    with m its numerical rank, and a zero matrix gives (n, 0).  A stack gives
     (L, n, m_max) with m_max the largest rank: matrix k's kept columns
     (its top ``m_k`` eigenpairs, in ascending order) come first and the
     rest is exactly 0.0, so ``out[k, :, :m_k]`` equals the factor of
@@ -298,10 +321,10 @@ def diffusion_factor(Q, lambdas=None) -> np.ndarray:
     the factor of a matrix with distinct eigenvalues a continuous
     function of it.
 
-    Raises AdmissibilityError when a matrix is indefinite beyond
-    tolerance or not finite, with the first failing matrix's margin (None
-    when that is not finite); ``lambdas``, the lam value of each matrix
-    in a stack, names its lam on the error.
+    Raises AdmissibilityError when a matrix fails the rule, with the first
+    failing matrix's margin ``min eigenvalue / s`` (None when not finite);
+    ``lambdas``, the lam value of each matrix in a stack, names its lam
+    on the error.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim not in (2, 3) or Q.shape[-1] != Q.shape[-2]:
@@ -310,22 +333,8 @@ def diffusion_factor(Q, lambdas=None) -> np.ndarray:
     stack = Q.reshape(-1, *Q.shape[-2:])
     n = stack.shape[-1]
     w, vecs = np.linalg.eigh(_sym(stack))
-    scale = np.abs(w).max(axis=1)
-    w_min = w.min(axis=1)
-    # NaN fails it too: a non-finite matrix has NaN eigenvalues.
-    bad = np.flatnonzero(~(w_min >= -_INDEFINITE_TOL * scale))
-    if bad.size:
-        i = int(bad[0])
-        where = "" if Q.ndim == 2 else (
-            f" at lam={lambdas[i]:.6f}" if lambdas is not None else f" at index {i}")
-        raise AdmissibilityError(
-            f"diffusion is indefinite{where}: min eigenvalue {w_min[i]:.3e} "
-            f"of scale {scale[i]:.3e}",
-            lam=None if lambdas is None else lambdas[i],
-            margin=_finite_or_none(w_min[i] / scale[i]))
-    w = np.maximum(w, 0.0)
     # Eigenvalues ascend, so the kept ones of each matrix are its last rank.
-    rank = np.count_nonzero(w > 1e-12 * scale[:, None], axis=1)
+    w, rank = _psd_spectrum(w, "diffusion is indefinite", lambdas)
     m_max = int(rank.max(initial=0))
     # Column j of matrix k is its eigenpair n - rank_k + j, or padding.
     cols = np.arange(m_max)
@@ -356,23 +365,13 @@ def _zero_k(lambdas, prior, meas):
 def exact_flow() -> FlowParameterization:
     """Zero-diffusion flow: ``K = 1/2 hess_log_h``.  The induced Q is
     exactly zero, because ``K + K^T + H^T R^-1 H`` cancels term by term."""
-    return FlowParameterization(
-        kind="exact",
-        description="deterministic flow with zero diffusion",
-        k_builder=_exact_k,
-        analytic_admissible=True,
-    )
+    return FlowParameterization("exact", _exact_k, analytic_admissible=True)
 
 
 def fixed_q() -> FlowParameterization:
     """Flow with ``K = 0`` and diffusion ``M^{-1} H^T R^{-1} H M^{-1}``,
     the diffusion that K induces."""
-    return FlowParameterization(
-        kind="fixed_q",
-        description="zero schedule matrix; measurement-shaped diffusion",
-        k_builder=_zero_k,
-        analytic_admissible=True,
-    )
+    return FlowParameterization("fixed_q", _zero_k, analytic_admissible=True)
 
 
 def constant_q(Q0) -> FlowParameterization:
@@ -380,11 +379,7 @@ def constant_q(Q0) -> FlowParameterization:
     q0 = np.asarray(Q0, dtype=float)
     if q0.ndim != 2 or q0.shape[0] != q0.shape[1]:
         raise ValueError(f"Q0 must be square, got shape {q0.shape}")
-    if np.abs(q0 - q0.T).max() > 1e-12 * max(np.abs(q0).max(), 1e-300):
-        raise AdmissibilityError("Q0 must be symmetric")
-    bad, margin = _first_indefinite(q0)
-    if bad >= 0:
-        raise AdmissibilityError("Q0 must be positive semidefinite", margin=margin)
+    _require_psd(q0, "Q0")
     q0 = _sym(q0)
 
     def k_builder(lambdas, prior, meas):
@@ -394,17 +389,11 @@ def constant_q(Q0) -> FlowParameterization:
     def q_builder(lambdas, prior, meas):
         return np.broadcast_to(q0, (lambdas.size, *q0.shape)).copy()
 
-    return FlowParameterization(
-        kind="constant_q",
-        description="prescribed constant diffusion matrix",
-        k_builder=k_builder,
-        q_builder=q_builder,
-        analytic_admissible=True,
-    )
+    return FlowParameterization("constant_q", k_builder, q_builder,
+                                analytic_admissible=True)
 
 
-def k_schedule(fn: Callable[[float], np.ndarray],
-               description: str = "user schedule") -> FlowParameterization:
+def k_schedule(fn: Callable[[float], np.ndarray]) -> FlowParameterization:
     """Flow defined by an arbitrary schedule callable ``lam -> K``.
 
     The callable must be deterministic and side-effect free; it is
@@ -422,11 +411,7 @@ def k_schedule(fn: Callable[[float], np.ndarray],
             out[i] = k
         return out
 
-    return FlowParameterization(
-        kind="k_schedule",
-        description=description,
-        k_builder=k_builder,
-    )
+    return FlowParameterization("k_schedule", k_builder)
 
 
 def _reference_k(m_stack, a_stack, q_stack):
@@ -435,8 +420,7 @@ def _reference_k(m_stack, a_stack, q_stack):
 
 
 def reference_flow(a_hat: Callable[[float], np.ndarray],
-                   q_nominal: Callable[[float], np.ndarray],
-                   description: str = "reference flow") -> FlowParameterization:
+                   q_nominal: Callable[[float], np.ndarray]) -> FlowParameterization:
     """Flow built from a reference drift gradient and a nominal diffusion.
 
     Given the reference ``A_hat(lam)`` and nominal ``Q(lam)``, the
@@ -453,11 +437,7 @@ def reference_flow(a_hat: Callable[[float], np.ndarray],
             q_stack[i] = np.asarray(q_nominal(float(lam)), dtype=float)
         return _reference_k(_m_stack(lambdas, prior, meas), a_stack, q_stack)
 
-    return FlowParameterization(
-        kind="reference",
-        description=description,
-        k_builder=k_builder,
-    )
+    return FlowParameterization("reference", k_builder)
 
 
 def diagnostic_noise(alpha: float) -> FlowParameterization:
@@ -479,12 +459,7 @@ def diagnostic_noise(alpha: float) -> FlowParameterization:
                             _exact_a1(lambdas, prior, meas),
                             alpha * np.eye(prior.n))
 
-    return FlowParameterization(
-        kind="diagnostic",
-        description=f"reference flow around the zero-diffusion drift, alpha={alpha}",
-        k_builder=k_builder,
-        analytic_admissible=True,
-    )
+    return FlowParameterization("diagnostic", k_builder, analytic_admissible=True)
 
 
 def preset(kind: str, prior: GaussianPrior, meas: LinearMeasurement,

@@ -99,13 +99,15 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
     return obj
 
 
 def write_json(path, payload: dict) -> None:
+    """Strict JSON: a NaN or infinite float is written as null."""
     Path(path).write_text(
-        json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n",
+        json.dumps(_jsonable(payload), indent=2, sort_keys=True,
+                   allow_nan=False) + "\n",
         newline="\n",
     )

@@ -35,7 +35,8 @@ from scipy.linalg import solve_triangular
 
 from . import kernels
 from .errors import AdmissibilityError
-from .flows import FlowParameterization, affine_tables, exact_flow
+from .flows import (FlowParameterization, _diffusion_spectrum, affine_tables,
+                    exact_flow)
 from .grid import LambdaGrid
 from .integrate import ELLIPSOID_STREAM, FTSS_STREAM, make_generator
 from .model import GaussianPrior, HomotopyDerivatives, LinearMeasurement
@@ -402,21 +403,30 @@ def check_ftss(params: Optional[FlowParameterization], prior: GaussianPrior,
                       empirical_prob=float(empirical), threshold=float(threshold))
 
 
+def _rate_and_regime(params: FlowParameterization, prior: GaussianPrior,
+                     meas: LinearMeasurement, grid: LambdaGrid):
+    """``(sigma, regime)``: two readings of the diffusion's clamped spectrum
+    on the grid nodes (``flows._psd_spectrum``)."""
+    w, rank = _diffusion_spectrum(params, prior, meas, grid.nodes)
+    sigma = float(w.min()) * float(np.linalg.eigvalsh(prior.precision).min())
+    if not rank.any():
+        return sigma, Regime.CONSTANT_V
+    return sigma, Regime.EXPONENTIAL_DECAY if sigma > 0.0 else Regime.NON_INCREASING
+
+
 def contraction_rate(params: FlowParameterization, prior: GaussianPrior,
                      meas: LinearMeasurement, grid: LambdaGrid) -> float:
     """Guaranteed decay rate ``sigma = min_eig(Q0) * min_eig(S)``.
 
-    Q0 is inferred as the smallest diffusion eigenvalue over the grid
-    nodes, clipped at zero; sigma is zero whenever the diffusion loses
-    rank somewhere.  A diffusion that is not finite on the grid raises
-    AdmissibilityError.
+    Q0 is the smallest clamped diffusion eigenvalue over the grid nodes:
+    with ``s`` a matrix's largest eigenvalue magnitude, eigenvalues at or
+    below ``1e-12 s`` count as zero.  So sigma is zero whenever the
+    diffusion loses rank somewhere, and positive exactly when
+    :func:`classify_regime` gives ExponentialDecay.  A diffusion that is
+    not finite, or has an eigenvalue below ``-1e-10 s``, raises
+    AdmissibilityError naming the first such lam and its margin.
     """
-    qs = params.q_stack(grid.nodes, prior, meas)
-    w = np.linalg.eigvalsh(0.5 * (qs + np.swapaxes(qs, 1, 2)))
-    q_floor = float(w.min())
-    if np.isnan(q_floor):  # a non-finite matrix has NaN eigenvalues
-        raise AdmissibilityError("diffusion is not finite on the grid")
-    return max(q_floor, 0.0) * float(np.linalg.eigvalsh(prior.precision).min())
+    return _rate_and_regime(params, prior, meas, grid)[0]
 
 
 def classify_regime(params: FlowParameterization, prior: GaussianPrior,
@@ -424,24 +434,15 @@ def classify_regime(params: FlowParameterization, prior: GaussianPrior,
     """Qualitative V_M behavior implied by the diffusion on the grid.
 
     Zero diffusion everywhere preserves V_M exactly; semidefinite
-    diffusion makes it non-increasing; uniformly positive definite
-    diffusion forces exponential decay.  An indefinite or non-finite
-    diffusion raises AdmissibilityError.
+    diffusion makes it non-increasing; a diffusion of full rank at every
+    node forces exponential decay.  Rank counts the eigenvalues above
+    ``1e-12 s``, with ``s`` the matrix's largest eigenvalue magnitude, so
+    the regime is ExponentialDecay exactly when :func:`contraction_rate`
+    is positive.  A diffusion that is not finite, or has an eigenvalue
+    below ``-1e-10 s``, raises AdmissibilityError naming the first such
+    lam and its margin.
     """
-    qs = params.q_stack(grid.nodes, prior, meas)
-    scale = float(np.abs(qs).max())
-    if scale == 0.0:
-        return Regime.CONSTANT_V
-    w = np.linalg.eigvalsh(0.5 * (qs + np.swapaxes(qs, 1, 2)))
-    min_eig = float(w.min())
-    # Written so that NaN fails it too.
-    if not min_eig >= -1e-10 * scale:
-        raise AdmissibilityError(
-            f"diffusion is indefinite on the grid (min eigenvalue {min_eig:.3e})"
-        )
-    if min_eig <= 1e-12 * scale:
-        return Regime.NON_INCREASING
-    return Regime.EXPONENTIAL_DECAY
+    return _rate_and_regime(params, prior, meas, grid)[1]
 
 
 def ellipsoid_invariance_check(prior: GaussianPrior, meas: LinearMeasurement,
@@ -486,8 +487,7 @@ def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
     and must agree, guarding against sampling artifacts; disagreement
     raises RuntimeError.
     """
-    sigma = contraction_rate(params, prior, meas, grid)
-    regime = classify_regime(params, prior, meas, grid)
+    sigma, regime = _rate_and_regime(params, prior, meas, grid)
     if sigma > 0.0:
         beta_c = alpha * 0.5 * (np.exp(-sigma) + 1.0)
     else:
@@ -539,6 +539,6 @@ def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
         ftcs=FtcsResult(verdict=ftcs_ok, alpha=alpha, beta=beta_c,
                         gamma=gamma, lambda1=lambda1),
         ftss=ftss,
-        sigma=float(sigma),
+        sigma=sigma,
         regime=regime,
     )

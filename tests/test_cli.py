@@ -142,6 +142,10 @@ _SEQUENTIAL = {"F": [[1.0]], "W": [[0.1]], "n_steps": 5, "truth_seed": 11}
     ("ensemble", dict(ensemble={"n_particles": 1, "seed": 99})),
     ("sequential", dict(experiment="sequential", ensemble={"n_particles": 1, "seed": 4},
                         sequential=_SEQUENTIAL)),
+    # The rk4 scheme needs a diffusion-free flow; the default is fixed_q.
+    ("grid", dict(grid={"steps": 60, "scheme": "rk4"})),
+    ("stability", dict(experiment="stability", flow={"flow": "exact"},
+                       stability={"ellipsoid_particles": -1})),
 ])
 def test_run_exit_code_for_malformed_option_values(tmp_path, capsys, key, overrides):
     path = _base_config(tmp_path, **overrides)
@@ -239,6 +243,29 @@ def test_run_stability_reports_ellipsoid_for_exact_flow(tmp_path):
     assert run(path) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["ellipsoid_deviation"] < 1e-8
+
+
+def test_run_stability_of_rank_deficient_diffusion(tmp_path, make_model):
+    path = _base_config(tmp_path, experiment="stability", grid={"steps": 10})
+    save_model(tmp_path / "model.json", *make_model(np.random.default_rng(16), 2, 1))
+    assert run(path) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["regime"], summary["sigma"]) == ("NonIncreasing", 0.0)
+    assert summary["ftcs"]["beta"] == 0.75
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_run_one_size_consistency_writes_strict_json(tmp_path):
+    path = _base_config(tmp_path, experiment="ensemble_consistency",
+                        consistency={"n_list": [50], "n_seeds": 2})
+    assert run(path) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    # One ensemble size gives no slope.
+    assert summary["slope"] is None
 
 
 def test_run_sequential_experiment(tmp_path):

@@ -432,7 +432,7 @@ def test_positivity_tests_reject_non_finite_matrices(make_model):
     assert (info.value.lam, info.value.margin) == (0.5, None)
 
     nan_q = FlowParameterization(
-        "nan_q", "diffusion NaN everywhere",
+        "nan_q",
         k_builder=lambda lambdas, prior, meas: np.zeros((lambdas.size, 2, 2)),
         q_builder=lambda lambdas, prior, meas: np.full((lambdas.size, 2, 2), np.nan),
         analytic_admissible=True)
@@ -449,3 +449,64 @@ def test_positivity_tests_reject_non_finite_matrices(make_model):
     with pytest.raises(AdmissibilityError) as info:
         build_tables(params, grid, prior, meas)
     assert (info.value.lam, info.value.margin) == (0.375, None)
+
+
+def _unit_model():
+    """n = 2 with unit prior, measurement and noise: H^T R^-1 H = I."""
+    return (GaussianPrior(np.zeros(2), np.eye(2)),
+            LinearMeasurement(np.eye(2), np.eye(2), np.zeros(2)))
+
+
+def _spectrum_flow(t):
+    """A flow whose diffusion is ``t`` at every lam, with the fixed_q drift."""
+    from flowfilt import FlowParameterization
+
+    return FlowParameterization(
+        "spectrum", k_builder=lambda lambdas, prior, meas: np.zeros((lambdas.size, 2, 2)),
+        q_builder=lambda lambdas, prior, meas: np.broadcast_to(t, (lambdas.size, 2, 2)),
+        analytic_admissible=True)
+
+
+def _flow_of(t):
+    """A schedule whose admissibility matrix ``K + K^T + I`` is ``t``."""
+    return k_schedule(lambda lam: 0.5 * (t - np.eye(2)))
+
+
+def _reject_if_false(accepted):
+    if not accepted:
+        raise AdmissibilityError("rejected")
+
+
+def _entry_points():
+    from flowfilt import LambdaGrid, build_stability_report
+    from flowfilt.stability import classify_regime, contraction_rate
+
+    prior, meas = _unit_model()
+    derivs = _derivs(prior, meas)  # hess_log_h = -I
+    grid = LambdaGrid.uniform(10)
+    return {
+        "is_admissible": lambda t: _reject_if_false(
+            is_admissible(0.5 * (t - np.eye(2)), derivs)),
+        "k_from_q": lambda t: k_from_q(t, derivs),
+        "constant_q": constant_q,
+        "validate": lambda t: _flow_of(t).validate(prior, meas),
+        "affine_tables": lambda t: affine_tables(_flow_of(t), prior, meas,
+                                                 np.linspace(0.0, 1.0, 5)),
+        "diffusion_factor": diffusion_factor,
+        "classify_regime": lambda t: classify_regime(_spectrum_flow(t), prior, meas, grid),
+        "contraction_rate": lambda t: contraction_rate(_spectrum_flow(t), prior, meas, grid),
+        "build_stability_report": lambda t: build_stability_report(
+            _spectrum_flow(t), prior, meas, grid, n_mc=200),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points()))
+def test_every_positivity_site_applies_one_tolerance(entry):
+    # The indefiniteness tolerance is 1e-10 times the largest eigenvalue
+    # magnitude, here 1, wherever a flow meets a semidefiniteness test.
+    check = _entry_points()[entry]
+    check(np.diag([1.0, -0.5e-10]))
+    with pytest.raises(AdmissibilityError) as info:
+        check(np.diag([1.0, -2e-10]))
+    if entry != "is_admissible":
+        assert info.value.margin == pytest.approx(-2e-10, rel=1e-4)

@@ -4,7 +4,8 @@ Every model is drawn from one seed before any check runs, with n in
 1..6 and d in 1..n; a model that fails a check is a finding and is never
 re-drawn.  Each model's step count follows from the stiffness of its
 flows, the largest spectral radius of A(lam) on a probe grid, so no
-step count is chosen from an outcome.
+step count is chosen from an outcome.  The stability report fuzz draws
+its own models the same way, with n in 1..4 and 10 to 50 steps.
 """
 
 import numpy as np
@@ -277,3 +278,39 @@ def test_block_tested_chain_equals_the_per_step_chain(steps, fail_at, failure):
             assert bad == want_bad
             rows = want.shape[0]
             assert got[:rows].tobytes() == want.tobytes()
+
+
+REPORT_SEED = 20261019
+REPORT_MODELS_PER_SHAPE = 8
+
+
+def _draw_report_cases(make_model):
+    """(prior, meas, steps) for every shape n in 1..4, d in 1..n, with a
+    uniform grid of 10 to 50 steps; all drawn before any report runs."""
+    rng = np.random.default_rng(REPORT_SEED)
+    # A rank-1 fixed_q diffusion whose smallest eigenvalue rounds to a
+    # tiny positive number at some node of a 10-step grid.
+    cases = [(*make_model(np.random.default_rng(16), 2, 1), 10)]
+    for n in range(1, 5):
+        for d in range(1, n + 1):
+            for _ in range(REPORT_MODELS_PER_SHAPE):
+                cases.append((*make_model(rng, n, d), int(rng.integers(10, 51))))
+    return cases
+
+
+def test_stability_report_never_raises_and_sigma_marks_decay(make_model):
+    problems = []
+    for c, (prior, meas, steps) in enumerate(_draw_report_cases(make_model)):
+        grid = LambdaGrid.uniform(steps)
+        for kind, params in _presets(prior, meas).items():
+            where = f"case {c} (n={prior.n}, d={meas.d}, steps={steps}) {kind}"
+            try:
+                report = stability.build_stability_report(params, prior, meas, grid)
+            except Exception as exc:  # noqa: BLE001 - every failure is a finding
+                problems.append(f"{where}: {exc!r}")
+                continue
+            decays = report.regime is stability.Regime.EXPONENTIAL_DECAY
+            if (report.sigma > 0.0) != decays:
+                problems.append(f"{where}: sigma {report.sigma!r} with regime "
+                                f"{report.regime.value}")
+    assert not problems, problems

@@ -425,7 +425,7 @@ def test_indefinite_diffusion_on_the_grid_names_its_left_node(make_model):
     # Admissible "by construction", so affine_tables skips its own test and
     # the diffusion factorisation is what catches the indefinite steps.
     params = flows.FlowParameterization(
-        "broken", "indefinite for lam > 0.5",
+        "broken",
         k_builder=lambda lambdas, prior, meas: np.zeros((lambdas.size, 2, 2)),
         q_builder=q_builder, analytic_admissible=True)
     grid = LambdaGrid.uniform(10)

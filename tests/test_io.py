@@ -36,3 +36,15 @@ def test_write_json_is_deterministic_and_plain(tmp_path):
     loaded = json.loads(blob)
     assert loaded == {"a": [[1, 2], [3, 4]], "b": 0.25, "flag": True}
     assert list(loaded) == ["a", "b", "flag"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    write_json(tmp_path / "x.json", {"slope": float("nan"), "w": np.float64(-np.inf),
+                                     "v": np.array([1.0, np.inf])})
+    loaded = json.loads((tmp_path / "x.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert loaded == {"slope": None, "v": [1.0, None], "w": None}

@@ -252,6 +252,23 @@ def test_classify_regime_rejects_indefinite_diffusion(canonical):
         classify_regime(bad, prior, meas, GRID)
 
 
+def test_spectrum_failures_name_lam_and_margin():
+    prior = GaussianPrior(np.zeros(2), np.eye(2))
+    meas = LinearMeasurement(np.eye(2), np.eye(2), np.zeros(2))
+    # K + K^T + I = diag(-1, 1) only at lam = 0.375, between the
+    # validation nodes, so the preset passes and the grid that reaches
+    # that node must name it.
+    params = preset("k_schedule", prior, meas,
+                    k_fn=lambda lam: np.diag([-1.0, 0.0]) if lam == 0.375
+                    else np.zeros((2, 2)))
+    grid = LambdaGrid.uniform(8)
+    for check in (classify_regime, contraction_rate, build_stability_report):
+        with pytest.raises(AdmissibilityError) as info:
+            check(params, prior, meas, grid)
+        assert info.value.lam == 0.375
+        assert info.value.margin == pytest.approx(-1.0, rel=1e-12)
+
+
 def test_ellipsoid_invariance(canonical, make_model):
     prior, meas = canonical
     dev = ellipsoid_invariance_check(prior, meas, LambdaGrid.uniform(2000),
