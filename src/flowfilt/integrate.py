@@ -25,7 +25,8 @@ import numpy as np
 
 from . import kernels
 from .errors import DivergenceError
-from .flows import FlowParameterization, affine_tables, diffusion_factor
+from .flows import (FlowParameterization, _psd_spectrum, _sym, affine_tables,
+                    diffusion_factor)
 from .grid import LambdaGrid
 from .model import GaussianPrior, LinearMeasurement
 
@@ -37,9 +38,6 @@ FTSS_STREAM = (1 << 63) + 1
 ELLIPSOID_STREAM = (1 << 63) + 2
 TRUTH_STREAM = (1 << 63) + 3
 PROCESS_STREAM = (1 << 63) + 4
-
-# A flow counts as diffusion-free when no grid node exceeds this.
-_ZERO_Q_TOL = 1e-14
 
 
 def _check_seed(seed) -> int:
@@ -151,16 +149,18 @@ def build_tables(params: FlowParameterization, grid: LambdaGrid,
     step is factored as q q^T by one stacked :func:`diffusion_factor`
     call, which zero-pads the factors to a common width; an indefinite
     diffusion raises AdmissibilityError naming that step's left node.
-    For the deterministic scheme the diffusion must vanish at every
-    node, and midpoint coefficients are also evaluated.
+    For the deterministic scheme the diffusion must have rank 0, so be
+    exactly zero, at every node under the semidefiniteness rule of
+    :mod:`flowfilt.flows`; midpoint coefficients are also evaluated.
     """
     if grid.scheme == "rk4":
         a_nodes, b_nodes, q_nodes = affine_tables(params, prior, meas, grid.nodes)
-        if np.abs(q_nodes).max() > _ZERO_Q_TOL:
-            raise ValueError(
-                "the rk4 scheme requires a diffusion-free flow; "
-                f"max |Q| on the grid is {np.abs(q_nodes).max():.3e}"
-            )
+        _, rank = _psd_spectrum(np.linalg.eigvalsh(_sym(q_nodes)),
+                                "diffusion is indefinite", grid.nodes)
+        if rank.any():
+            k = np.flatnonzero(rank)[0]
+            raise ValueError("the rk4 scheme requires a diffusion-free flow; the "
+                             f"diffusion has rank {rank[k]} at lam={grid.nodes[k]:.6f}")
         a_mids, b_mids, _ = affine_tables(params, prior, meas, grid.midpoints,
                                           want_q=False)
         return CoefficientTables(scheme="rk4", dlam=grid.dlam,

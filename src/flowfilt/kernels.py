@@ -1,22 +1,24 @@
-"""Hot propagation loops: the collapsed law of an affine run, and the
-stepwise kernel that records paths and names divergences.
+"""Hot propagation loops: the collapsed law of an affine run, and the one
+stepper, which forms terminals, records paths and names divergences.
 
 Every step of either scheme is an affine map ``x -> M_k x + G_k xi_k + g_k``
-of the state and the noise.  Euler-Maruyama on
-``dx = (A x + b) dlam + q dW`` passes the prescaled ``M_k = I + dlam_k A_k``,
-``G_k = sqrt(dlam_k) q_k`` and ``g_k = dlam_k b_k`` (:func:`_em_maps`);
-classic RK4 on a zero-diffusion flow passes its maps ``T_k``, ``c_k`` with
-no noise (m = 0).  With its start fixed, a whole run is affine in its
-Gaussian noise: ``x_N = Phi_N x_0 + sum_j W_j xi_j + d_N`` with
-``W_j = M_{N-1} ... M_{j+1} G_j``.  Its terminal therefore has the law
-``N(Phi_N x_0 + d_N, Sigma)`` with ``Sigma = sum_j W_j W_j^T``, and one
+of the state and the noise, and ``_em`` is the only code that applies one.
+Euler-Maruyama on ``dx = (A x + b) dlam + q dW`` passes the prescaled
+``M_k = I + dlam_k A_k``, ``G_k = sqrt(dlam_k) q_k`` and ``g_k = dlam_k b_k``
+(:func:`_em_maps`); classic RK4 on a zero-diffusion flow passes its maps
+``T_k``, ``c_k`` with no noise (m = 0).  With its start fixed, a run is
+affine in its Gaussian noise: ``x_N = Phi_N x_0 + sum_j W_j xi_j + d_N``
+with ``W_j = M_{N-1} ... M_{j+1} G_j``.  Its terminal therefore has the
+law ``N(Phi_N x_0 + d_N, Sigma)`` with ``Sigma = sum_j W_j W_j^T``, and one
 particle needs only ``r = rank Sigma <= n`` normals ``eta``:
 ``x_N = Phi_N x_0 + F eta + d_N`` with ``F F^T = Sigma``.  :func:`_em_law`
 chains the augmented maps backwards once into ``Phi_N``, ``d_N`` and W,
 sums Sigma in a fixed order and factors it into F with
 :func:`~flowfilt.flows.diffusion_factor`; the caller draws eta, and
-:func:`_affine_run` applies ``[Phi_N | F]`` and ``d_N`` to every column.
-RK4 is the r = 0 case of the same apply.
+:func:`_affine_run` forms the terminal as one ``_em`` step on the map
+``[Phi_N | F]``, ``d_N`` with eta as its noise.  RK4 is the r = 0 case of
+that run, and :func:`em_propagate` its law-free case, which steps every
+particle on the caller's increments.
 
 Inside the kernels the ensemble is column-major: states are (n, N) and
 per-step increments (steps, m, N), so each operation runs over all
@@ -24,12 +26,12 @@ particles at once.  Callers keep the row layout: states go in and come
 out as (N, n), and recorded paths are (N, steps+1, n), filled in place.
 
 The accumulation order is part of the contract, because ensemble row i
-must equal a single-particle run bit for bit.  Every product
-``a @ x + b`` starts at +0.0, adds ``a[j, kk] * x[kk]`` with kk ascending
-and adds b last; the terminal sums the terms of ``[x_0; eta]`` in that
-order.  Every operation is elementwise across columns, so a particle's
-result does not depend on the other particles.  Noise is never generated
-here; callers pass precomputed normal draws.
+must equal a single-particle run bit for bit.  Every step, the terminal
+included, starts at +0.0, adds the terms of ``[x; xi_k]`` with the
+column index ascending and adds ``g_k`` last.  Every operation is
+elementwise across columns, so a particle's result does not depend on the
+other particles.  Noise is never generated here; callers pass
+precomputed normal draws.
 
 A recorded run, and every particle that the divergence rule flags, is
 stepped through the maps by ``_em`` along a *bridge*: per-step increments
@@ -49,15 +51,21 @@ Flagged particles are stepped along their bridges, which names the
 smallest failing (step, particle); a particle whose stepped path stays in
 range but whose terminal does not is reported at the last step.  A
 flagged particle that does not fail keeps its collapsed terminal.  When
-the chained maps are not finite there is no law: r = 0, the bridge is the
-plain increments, and every particle ends on its stepped state.
+the chained maps are not finite there is no law, and every particle ends
+on its stepped state, as in a law-free run.
+
+One range test, :func:`_first_bad` on :func:`_in_range`, names every
+failure: ``_em``'s after each step (behind an ``x . x`` screen),
+``_chain``'s per block, and ``_affine_run``'s at the start and the
+terminal.  Only ``_chain`` takes a limit: the law's backward chain and
+the moment ODEs test the float range, all else ``STATE_LIMIT``.
 
 Every drift here is affine, so one classic RK4 step of any deterministic
 solve is an affine map ``y -> T_k y + c_k``.  ``_rk4_maps`` builds the
 maps of all steps in one batched pass and is the only RK4 formula, and
 ``_chain`` steps one vector or matrix through them, testing the trusted
-range once per block of steps.  The moment ODEs and the error dynamics
-chain their own solutions through it.
+range once per block of ``CHAIN_BLOCK`` steps.  The moment ODEs and the
+error dynamics chain their own solutions through it.
 
 Kernel return convention: ``(code, step, particle)`` where code 0 means
 success, 1 a non-finite state and 2 a norm overflow.  The reported pair
@@ -90,19 +98,22 @@ def warmup() -> None:  # kept for perfbench/run.py, which calls it
     pass
 
 
+def _in_range(x, limit):
+    """Columns of x with every entry within the limit (NaN is not)."""
+    return (np.abs(x) <= limit).all(axis=0)
+
+
 def _first_bad(x, limit):
-    """(code, particle) of the smallest failing column, or (0, -1)."""
-    # One whole-array test per step; NaN makes the comparisons false.
+    """(code, column) of the first column of x with a non-finite entry,
+    code 1, or one past the limit, code 2; or (0, -1)."""
+    # One whole-array test first; NaN makes the comparisons false.
     if x.max(initial=-limit) <= limit and x.min(initial=limit) >= -limit:
         return 0, -1
-    x = x.reshape(x.shape[0], -1)  # a vector is one column
-    nonfinite = ~np.isfinite(x).all(axis=0)
-    bad = nonfinite | (np.abs(x) > limit).any(axis=0)
-    i = int(np.argmax(bad))
-    return (1 if nonfinite[i] else 2), i
+    i = int(np.argmin(_in_range(x, limit)))
+    return (2 if np.isfinite(x[:, i]).all() else 1), i
 
 
-def _em(x, mk, gk, g, noise, limit, paths):
+def _em(x, mk, gk, g, noise, paths):
     """Step the (n, N) states through ``x <- M_k x + G_k xi_k + g_k``,
     given the (steps, n, n), (steps, n, m) and (steps, n) stacks of
     ``M_k``, ``G_k`` and ``g_k``.
@@ -111,8 +122,8 @@ def _em(x, mk, gk, g, noise, limit, paths):
     ``[M_k | G_k]`` transposed to (n+m, n, 1), so one product with
     ``z[:, None, :]`` forms every term of the step.  One reduction over
     the term axis sums them into ``x = z[:n]`` from +0.0 with the column
-    index ascending, and g_k comes last.  ``x . x <= limit**2 / 4``
-    clears every state of a step at once (NaN fails it); the exact test
+    index ascending, and g_k comes last.  ``x . x <= STATE_LIMIT**2 / 4``
+    clears every state of a step at once (NaN fails it); :func:`_first_bad`
     runs only when it fails.
     """
     n, m = gk.shape[1:]
@@ -124,7 +135,7 @@ def _em(x, mk, gk, g, noise, limit, paths):
     x, flat, zs = z[:n], z[:n].reshape(-1), z[:, None, :]
     prods = np.empty((n + m, n, x.shape[1]))
     xis = list(noise)
-    clear = 0.25 * limit * limit
+    clear = 0.25 * STATE_LIMIT * STATE_LIMIT
     for k, (c, offset) in enumerate(zip(coef, g)):
         if m:
             z[n:] = xis[k]
@@ -134,7 +145,7 @@ def _em(x, mk, gk, g, noise, limit, paths):
         if paths is not None:
             paths[:, k + 1, :] = x.T
         if not np.dot(flat, flat) <= clear:
-            code, particle = _first_bad(x, limit)
+            code, particle = _first_bad(x, STATE_LIMIT)
             if code:
                 return x, code, k, particle
     return x, 0, -1, -1
@@ -195,12 +206,11 @@ def _chain(t, y0, c=None, limit=STATE_LIMIT):
                 np.matmul(maps[k], rows[k], out=rows[k + 1])
                 if offsets is not None:
                     rows[k + 1] += offsets[k]
-            block = y[start + 1:stop + 1]
-            # NaN makes both comparisons false.
-            if not (block.max(initial=-limit) <= limit
-                    and block.min(initial=limit) >= -limit):
-                flat = np.abs(block.reshape(stop - start, -1))
-                return y, start + int(np.argmax(~(flat <= limit).all(axis=1)))
+            # Each step of the block is one column.
+            code, bad = _first_bad(y[start + 1:stop + 1].reshape(stop - start, -1).T,
+                                   limit)
+            if code:
+                return y, start + bad
     return y, -1
 
 
@@ -244,9 +254,9 @@ def _em_collapse(mk, gk, g):
     return ct, tails[steps, n, :n]
 
 
-def _law_trusted(mk, gk, g, limit):
+def _law_trusted(mk, gk, g):
     """Whether bounds on ``|Phi_k|``, ``|d_k|`` and the entries of
-    ``Sigma_k`` stay within ``limit`` at every step (NaN counts as not).
+    ``Sigma_k`` stay within ``STATE_LIMIT`` at every step (NaN does not).
 
     With the infinity norms ``mu_k = |M_k|``, ``gamma_k = |G_k|`` and
     ``beta_k = max|g_k|``, ``Phi_{k+1} = M_k Phi_k``,
@@ -262,16 +272,17 @@ def _law_trusted(mk, gk, g, limit):
         a = np.cumprod(np.abs(mk).sum(axis=2).max(axis=1))
         d = a * np.cumsum(np.abs(g).max(axis=1) / a)
         s = a * a * np.cumsum(np.square(np.abs(gk).sum(axis=2).max(axis=1) / a))
-        return bool(np.max([a.max(), d.max(), s.max()]) <= limit)
+        return bool(np.max([a.max(), d.max(), s.max()]) <= STATE_LIMIT)
 
 
 class _Law(NamedTuple):
     """The maps of a run and the law of its terminal given its start.
 
     ``ct`` is ``[Phi_N^T; W^T]`` of :func:`_em_collapse`, ``sigma`` is
-    ``W W^T`` and ``f`` its (n, r) factor.  ``ct`` and ``sigma`` are None
-    when the chained maps leave the float range; f has no columns then,
-    and when m = 0 or Sigma is not finite (such a law is never trusted).
+    ``W W^T`` and ``f`` its (n, r) factor.  ``ct``, ``d`` and ``sigma``
+    are None in a law-free run and when the chained maps leave the float
+    range; f has no columns then, and when m = 0 or Sigma is not finite
+    (such a law is never trusted).
     """
 
     mk: np.ndarray
@@ -284,7 +295,7 @@ class _Law(NamedTuple):
     trusted: bool
 
 
-def _em_law(mk, gk, g, limit=STATE_LIMIT):
+def _em_law(mk, gk, g):
     """Chain the maps into ``Phi_N``, ``d_N`` and W once, sum
     ``Sigma = W W^T`` and factor it as ``F F^T``.
 
@@ -295,7 +306,7 @@ def _em_law(mk, gk, g, limit=STATE_LIMIT):
     n, m = gk.shape[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         ct, d = _em_collapse(mk, gk, g)
-        trusted = ct is not None and _law_trusted(mk, gk, g, limit)
+        trusted = ct is not None and _law_trusted(mk, gk, g)
         sigma, f = None, np.zeros((n, 0))
         if ct is not None:
             sigma = np.einsum("ki,kj->ij", ct[n:], ct[n:], optimize=False)
@@ -333,33 +344,16 @@ def _bridge(ut, eta, zeta):
     return xi
 
 
-def _apply(phi_t, ft, d, x, eta):
-    """``Phi x + F eta + d`` for every column, in the contract's order:
-    from +0.0, the terms of ``[x; eta]`` ascending, then d."""
-    out = np.zeros_like(x)
-    term = np.empty_like(x)
-    for coef, z in zip([*phi_t, *ft], [*x, *eta]):
-        np.multiply(coef[:, None], z, out=term)
-        out += term
-    out += d[:, None]
-    return out
+def _affine_run(x0, law, eta, increments, record=False):
+    """Propagate the (N, n) states to the terminal ``Phi x0 + F eta + d``,
+    one :func:`_em` step on ``[Phi_N | F]``, ``d_N`` with the (r, N) draws
+    eta as its noise.
 
-
-def _in_range(x, limit):
-    """Columns of x with every entry within the limit (NaN is not)."""
-    return (np.abs(x) <= limit).all(axis=0)
-
-
-def _affine_run(x0, law, eta, increments, record=False, limit=STATE_LIMIT):
-    """Propagate the (N, n) states to the terminal ``Phi x0 + F eta + d``.
-
-    ``eta`` holds the (r, N) draws for the factor ``law.f``;
-    ``increments(idx)`` returns the (steps, m, len(idx)) bridge
-    increments of the particles idx, which only flagged particles and
-    recorded runs need.  Flagged particles (see the module docstring) are
-    stepped in blocks of ``STEP_BUDGET`` increments; with ``record`` every
-    particle is stepped for its path, whose last node holds the terminal.
-    Returns ``(states, paths, code, step, particle)``.
+    ``increments(idx)`` returns the (steps, m, len(idx)) increments of
+    the particles idx, along which flagged particles (see the module
+    docstring) are stepped in blocks of ``STEP_BUDGET`` increments; with
+    ``record`` every particle is stepped for its path, whose last node
+    holds the terminal.  Returns ``(states, paths, code, step, particle)``.
     """
     x = np.array(np.atleast_2d(x0).T, dtype=np.float64, order="C")
     n, count = x.shape
@@ -371,34 +365,33 @@ def _affine_run(x0, law, eta, increments, record=False, limit=STATE_LIMIT):
     code, step, particle = 0, -1, -1
     # An overflow is reported through the divergence code, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.empty_like(x) if law.ct is None else _apply(law.ct[:n], law.f.T,
-                                                              law.d, x, eta)
+        out = np.empty_like(x) if law.ct is None else _em(
+            x, law.ct[None, :n].transpose(0, 2, 1), law.f[None], law.d[None],
+            eta[None], None)[0]
         if record or not law.trusted:
             idx = np.arange(count)
         else:
-            idx = np.flatnonzero(~(_in_range(x, limit) & _in_range(out, limit)))
+            idx = np.flatnonzero(~_in_range(np.concatenate([x, out]), STATE_LIMIT))
         width = max(1, len(idx) if record else STEP_BUDGET // max(steps * m, 1))
         for start in range(0, len(idx), width):
             cols = idx[start:start + width]
             last, bad, at, which = _em(x[:, cols], law.mk, law.gk, law.g,
-                                       increments(cols), limit, paths)
+                                       increments(cols), paths)
             if law.ct is None:
                 out[:, cols] = last
             if bad and (not code or (at, cols[which]) < (step, particle)):
                 code, step, particle = bad, at, int(cols[which])
-        ends = idx[~_in_range(out[:, idx], limit)]
-        if ends.size and (not code or (steps - 1, ends[0]) < (step, particle)):
-            code = 1 if not np.isfinite(out[:, ends[0]]).all() else 2
-            step, particle = steps - 1, int(ends[0])
+        bad, which = _first_bad(out[:, idx], STATE_LIMIT)
+        if bad and (not code or (steps - 1, idx[which]) < (step, particle)):
+            code, step, particle = bad, steps - 1, int(idx[which])
     if record and not code:
         paths[:, -1, :] = out.T
     return np.ascontiguousarray(out.T), paths, code, step, particle
 
 
-def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
-                 limit: float = STATE_LIMIT):
-    """Euler-Maruyama on caller-given increments: every particle is
-    stepped through the prescaled maps of :func:`_em_maps` by ``_em``.
+def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False):
+    """Euler-Maruyama on caller-given increments: the law-free run of
+    :func:`_affine_run` on the maps of :func:`_em_maps`.
 
     Args:
         x0: (N, n) initial states.
@@ -415,19 +408,12 @@ def em_propagate(x0, a_all, b_all, q_all, noise, dlam, record: bool = False,
         ``record``.
     """
     mk, gk, g = _em_maps(a_all, b_all, q_all, dlam)
-    x = np.array(np.atleast_2d(x0).T, dtype=np.float64, order="C")
-    paths = None
-    if record:
-        paths = np.empty((x.shape[1], g.shape[0] + 1, x.shape[0]))
-        paths[:, 0, :] = x.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, code, step, particle = _em(x, mk, gk, g, _contig(noise), limit,
-                                        paths)
-    return np.ascontiguousarray(out.T), paths, code, step, particle
+    law = _Law(mk, gk, g, None, None, None, np.zeros((mk.shape[1], 0)), False)
+    return _affine_run(x0, law, None, lambda idx: _contig(noise)[:, :, idx], record)
 
 
 def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
-                  record: bool = False, limit: float = STATE_LIMIT):
+                  record: bool = False):
     """Classic fourth-order propagation for zero-diffusion flows.
 
     Shapes and returns follow :func:`em_propagate` with drift
@@ -438,6 +424,6 @@ def rk4_propagate(x0, a_nodes, b_nodes, a_mids, b_mids, dlam,
     t, c = _rk4_maps(a_nodes, a_mids, _contig(dlam), b_nodes, b_mids)
     steps, n = c.shape
     count = np.atleast_2d(x0).shape[0]
-    return _affine_run(x0, _em_law(t, np.zeros((steps, n, 0)), c, limit),
+    return _affine_run(x0, _em_law(t, np.zeros((steps, n, 0)), c),
                        np.zeros((0, count)),
-                       lambda idx: np.zeros((steps, 0, len(idx))), record, limit)
+                       lambda idx: np.zeros((steps, 0, len(idx))), record)

@@ -473,20 +473,33 @@ def _refine(grid: LambdaGrid) -> LambdaGrid:
     return LambdaGrid(nodes, grid.scheme)
 
 
+def _ftss_beta(alpha: float, epsilon: float) -> float:
+    """``alpha / epsilon``, the smallest beta that :func:`check_ftss`'s
+    ``alpha/beta <= epsilon`` admits, stepped up past rounding."""
+    if not (0.0 < alpha < np.inf and 0.0 < epsilon < 1.0):
+        raise ValueError(f"need alpha > 0 and 0 < epsilon < 1, got alpha={alpha}, "
+                         f"epsilon={epsilon}")
+    beta = alpha / epsilon
+    while not alpha / beta <= epsilon:
+        beta = float(np.nextafter(beta, np.inf))
+    return beta
+
+
 def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
                            meas: LinearMeasurement, grid: LambdaGrid,
-                           alpha: float = 1.0, beta: float = 2.0,
-                           gamma: float = 4.0, beta_ss: float = 4.0,
+                           alpha: float = 1.0, beta: float = 2.0, gamma: float = 4.0,
                            epsilon: float = 0.25, n_mc: int = 2000,
                            n_directions: int = 8, seed: int = 0) -> StabilityReport:
     """Run all stability checks for a flow and summarize the verdicts.
 
     Deterministic verdicts (finite-time and contractive) are evaluated on
     ``n_directions`` boundary trajectories with ``xtilde0^T S xtilde0``
-    just under alpha.  Every verdict is recomputed on a once-refined grid
-    and must agree, guarding against sampling artifacts; disagreement
-    raises RuntimeError.
+    just under alpha.  FTSS uses ``beta = alpha / epsilon``
+    (:func:`_ftss_beta`), the smallest beta its check admits.  Every
+    verdict is recomputed on a once-refined grid and must agree, guarding
+    against sampling artifacts; disagreement raises RuntimeError.
     """
+    beta_ss = _ftss_beta(alpha, epsilon)
     sigma, regime = _rate_and_regime(params, prior, meas, grid)
     if sigma > 0.0:
         beta_c = alpha * 0.5 * (np.exp(-sigma) + 1.0)

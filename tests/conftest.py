@@ -24,3 +24,22 @@ def make_model():
         return prior, meas
 
     return build
+
+
+@pytest.fixture
+def stepped_widths(monkeypatch):
+    """The particle count of every multi-step call to the stepwise kernel
+    ``kernels._em``, in call order.  A collapsed terminal is a one-step
+    call and is not recorded."""
+    from flowfilt import kernels
+
+    widths = []
+    stepwise = kernels._em
+
+    def spy(x, mk, *args):
+        if mk.shape[0] > 1:
+            widths.append(x.shape[1])
+        return stepwise(x, mk, *args)
+
+    monkeypatch.setattr(kernels, "_em", spy)
+    return widths

@@ -235,6 +235,20 @@ def test_run_stability_experiment(tmp_path):
     assert (tmp_path / "out" / "lyapunov.csv").is_file()
 
 
+@pytest.mark.parametrize("alpha", [2.0, 1.5])
+def test_run_stability_derives_the_ftss_beta(tmp_path, alpha):
+    # FTSS takes beta = alpha / epsilon, so any alpha below beta and gamma
+    # is a valid config; a fixed FTSS beta of 4 rejected every alpha > 1.
+    path = _base_config(tmp_path, experiment="stability",
+                        flow={"flow": "constant_q", "Q0": [[1.0]]},
+                        grid={"steps": 200},
+                        stability={"alpha": alpha, "beta": 4.0, "gamma": 8.0,
+                                   "n_mc": 400})
+    assert run(path) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["ftss"]["beta"] == alpha / 0.25
+
+
 def test_run_stability_reports_ellipsoid_for_exact_flow(tmp_path):
     path = _base_config(tmp_path, experiment="stability",
                         flow={"flow": "exact"},

@@ -108,24 +108,19 @@ def test_rk4_ensemble_matches_particles_and_the_stagewise_scheme(cases):
         assert err <= 1e-12, (index, err)
 
 
-def _stepped_run(monkeypatch, chunk, per_particle, run):
+def _stepped_run(monkeypatch, widths, chunk, per_particle, run):
     """``run()`` with every particle stepped along its bridge, ``chunk``
-    particles per block, and the widths of the blocks it stepped."""
-    widths = []
-    stepwise = kernels._em
-
-    def spy(x, *args):
-        widths.append(x.shape[1])
-        return stepwise(x, *args)
-
+    particles per block; ``widths`` (the ``stepped_widths`` fixture) is
+    left holding the widths of the blocks it stepped."""
+    widths.clear()
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "_law_trusted", lambda *args: False)
         patch.setattr(kernels, "STEP_BUDGET", chunk * max(per_particle, 1))
-        patch.setattr(kernels, "_em", spy)
-        return run(), widths
+        return run()
 
 
-def test_em_ensemble_matches_particles_and_any_chunking(cases, monkeypatch):
+def test_em_ensemble_matches_particles_and_any_chunking(cases, monkeypatch,
+                                                        stepped_widths):
     for index, (prior, meas, presets, steps) in enumerate(cases):
         grid = LambdaGrid.uniform(steps)
         start = sample_prior(66, prior, seed=index)
@@ -142,10 +137,10 @@ def test_em_ensemble_matches_particles_and_any_chunking(cases, monkeypatch):
             for chunk, ens, widths in ((1, sample_prior(3, prior, seed=index), [1] * 3),
                                        (63, start, [63, 3]), (64, start, [64, 2]),
                                        (65, start, [65, 1])):
-                got, seen = _stepped_run(
-                    monkeypatch, chunk, per_particle,
+                got = _stepped_run(
+                    monkeypatch, stepped_widths, chunk, per_particle,
                     lambda: propagate_ensemble(ens, params, grid, prior, meas))
-                assert seen == widths
+                assert stepped_widths == widths
                 want = end.particles[:ens.particles.shape[0]]
                 assert got.particles.tobytes() == want.tobytes(), (index, kind, chunk)
 

@@ -240,7 +240,7 @@ def _untrusted_law(monkeypatch):
     monkeypatch.setattr(kernels, "_law_trusted", lambda *args: False)
 
 
-def test_chunked_and_unchunked_ensembles_agree(monkeypatch, canonical):
+def test_chunked_and_unchunked_ensembles_agree(monkeypatch, stepped_widths, canonical):
     prior, meas = canonical
     params = preset("fixed_q", prior, meas)
     grid = LambdaGrid.uniform(30)
@@ -256,7 +256,7 @@ def test_chunked_and_unchunked_ensembles_agree(monkeypatch, canonical):
     # leaves every row on its collapsed terminal.
     _untrusted_law(monkeypatch)
     monkeypatch.setattr(kernels, "STEP_BUDGET", 90)
-    widths = _stepwise_spy(monkeypatch)
+    widths = stepped_widths
     chunked = propagate_ensemble(ens, params, grid, prior, meas)
     assert widths == [3] * 5 + [2]
     assert np.array_equal(full.particles, chunked.particles)
@@ -268,6 +268,17 @@ def test_rk4_rejects_stochastic_flow(canonical):
     grid = LambdaGrid.uniform(20, scheme="rk4")
     with pytest.raises(ValueError, match="diffusion-free"):
         build_tables(params, grid, prior, meas)
+
+
+def test_rk4_rejects_a_diffusion_small_only_in_absolute_terms():
+    # Q is 1e-16 at lam 0, as large as the prior covariance: tiny in
+    # absolute terms, yet of full rank under the semidefiniteness rule.
+    prior = GaussianPrior(np.zeros(1), 1e-16 * np.eye(1))
+    meas = LinearMeasurement(1e8 * np.eye(1), np.eye(1), np.array([1.0]))
+    params = preset("fixed_q", prior, meas)
+    assert 0.0 < params.q_stack(np.zeros(1), prior, meas)[0, 0, 0] < 1e-14
+    with pytest.raises(ValueError, match="diffusion-free.*rank 1 at lam=0.0"):
+        build_tables(params, LambdaGrid.uniform(20, "rk4"), prior, meas)
 
 
 def test_rk4_exact_flow_reaches_posterior_mean(make_model):
@@ -336,20 +347,8 @@ def test_propagate_particle_rejects_wrong_dimension(canonical):
                            prior, meas)
 
 
-def _stepwise_spy(monkeypatch):
-    """Record the width of every call to the stepwise EM kernel."""
-    widths = []
-    stepwise = kernels._em
-
-    def spy(x, *args):
-        widths.append(x.shape[1])
-        return stepwise(x, *args)
-
-    monkeypatch.setattr(kernels, "_em", spy)
-    return widths
-
-
 def test_flagged_particle_among_ordinary_ones_is_stepped_alone(monkeypatch,
+                                                               stepped_widths,
                                                                make_model):
     from flowfilt import ParticleEnsemble
 
@@ -361,7 +360,7 @@ def test_flagged_particle_among_ordinary_ones_is_stepped_alone(monkeypatch,
     # stepped along its bridge, which names the step where it fails.
     particles[3] = [1.5 * kernels.STATE_LIMIT, -0.4 * kernels.STATE_LIMIT]
     ens = ParticleEnsemble(particles, lam=0.0, seed=8)
-    widths = _stepwise_spy(monkeypatch)
+    widths = stepped_widths
     with pytest.raises(DivergenceError) as info:
         propagate_ensemble(ens, params, grid, prior, meas)
     assert widths == [1]
@@ -379,10 +378,10 @@ def test_flagged_particle_among_ordinary_ones_is_stepped_alone(monkeypatch,
     assert stepped.particles.tobytes() == out.particles.tobytes()
 
 
-def test_benchmark_models_never_take_the_stepwise_path(monkeypatch, make_model):
+def test_benchmark_models_never_take_the_stepwise_path(stepped_widths, make_model):
     from flowfilt import SequentialScenario, run_sequential
 
-    widths = _stepwise_spy(monkeypatch)
+    widths = stepped_widths
     # A stochastic update of the update_em kind: n=4, d=2, fixed_q, 500 steps.
     rng = np.random.default_rng(26)
     grid = LambdaGrid.uniform(500)

@@ -317,7 +317,7 @@ def test_rk4_reports_smallest_failing_step_then_particle(nan_row, overflow_row,
     assert rk4_propagate(x0[:1], a, b, a[:steps], b[:steps], dlam)[2:] == (2, 1, 0)
 
 
-def test_rk4_large_phi_with_tiny_states_does_not_diverge(monkeypatch):
+def test_rk4_large_phi_with_tiny_states_does_not_diverge(stepped_widths):
     steps, n = 50, 2
     # Phi_50 is 2.2e17 (RK4's 2.22 per step against exp(0.8)), so the law
     # leaves the trusted range and every particle is stepped, while every
@@ -328,18 +328,11 @@ def test_rk4_large_phi_with_tiny_states_does_not_diverge(monkeypatch):
     x0 = np.array([[3e-6, -1e-6], [-2e-6, 3e-6], [0.0, 1e-7]])
     run = _rk4_run(a, b, a[:steps], b[:steps], dlam, 3)
     assert np.abs(np.linalg.multi_dot(run[0][::-1])).max() > STATE_LIMIT
-    assert not _law_trusted(*run[:3], STATE_LIMIT)
+    assert not _law_trusted(*run[:3])
     # Nothing fails, so every particle keeps the collapsed map's terminal.
     expected = _run_ref(x0, *run)
     assert np.abs(expected).max() < STATE_LIMIT
-    widths = []
-    stepwise = kernels._em
-
-    def spy(x, *args):
-        widths.append(x.shape[1])
-        return stepwise(x, *args)
-
-    monkeypatch.setattr(kernels, "_em", spy)
+    widths = stepped_widths
     for record in (False, True):
         states, paths, code, step, particle = rk4_propagate(
             x0, a, b, a[:steps], b[:steps], dlam, record=record)
@@ -445,6 +438,56 @@ def test_em_injected_failure_matches_the_per_step_reference(inject_step, particl
     assert got[2:] == expected
 
 
+@pytest.mark.parametrize("plants", [
+    # (step, particle, failure) of each planted failure; blocks of two
+    # particles, so each plant lies in a different block.
+    ((5, 1, "limit"), (3, 4, "nan")),
+    ((3, 5, "limit"), (3, 0, "inf")),
+    ((2, 1, "nan"), (2, 3, "limit")),
+    ((0, 4, "inf"), (7, 0, "limit")),
+])
+def test_em_blocks_report_the_smallest_failing_step_then_particle(
+        plants, monkeypatch, stepped_widths):
+    steps, n, m = 12, 3, 2
+    rng = np.random.default_rng(13)
+    a_all = 0.3 * rng.standard_normal((steps, n, n))
+    b_all = rng.standard_normal((steps, n))
+    q_all = rng.standard_normal((steps, n, m))
+    noise = rng.standard_normal((steps, m, 6))
+    dlam = rng.uniform(0.05, 0.2, steps)
+    x0 = rng.standard_normal((6, n))
+    for step, particle, failure in plants:
+        noise[step, 1, particle] = {"limit": 1e15, "nan": np.nan,
+                                    "inf": np.inf}[failure]
+    expected = _em_per_step_outcome(x0, a_all, b_all, q_all, noise, dlam)
+    step, particle, failure = min(plants)
+    assert expected == (2 if failure == "limit" else 1, step, particle)
+    monkeypatch.setattr(kernels, "STEP_BUDGET", 2 * steps * m)
+    got = em_propagate(x0, a_all, b_all, q_all, noise, dlam)
+    assert stepped_widths == [2, 2, 2]
+    assert got[2:] == expected
+
+
+@pytest.mark.parametrize("record", [False, True])
+def test_em_blocks_match_a_one_block_run(record, monkeypatch, stepped_widths):
+    c = _block(2, n_particles=7)
+    steps = c["dlam"].shape[0]
+    args = (c["x0"], c["a"][:steps], c["b"][:steps], c["q"], c["noise"], c["dlam"])
+    whole = em_propagate(*args, record=record)
+    assert stepped_widths == [7]
+    monkeypatch.setattr(kernels, "STEP_BUDGET", 2 * steps * 2)
+    stepped_widths.clear()
+    got = em_propagate(*args, record=record)
+    # A recorded run steps every particle in one block for its paths.
+    assert stepped_widths == ([7] if record else [2, 2, 2, 1])
+    assert got[2:] == whole[2:] == (0, -1, -1)
+    assert _same_bits(got[0], whole[0])
+    if record:
+        assert _same_bits(got[1], whole[1])
+    else:
+        assert got[1] is None
+
+
 @pytest.mark.parametrize("record", [False, True])
 def test_em_overflowing_chain_reports_the_stepwise_failure(record):
     # Twenty steps of M = 2^-52 I, then six of M = 2^173 I.  The run scales
@@ -529,7 +572,7 @@ def test_em_noise_grown_by_later_maps_is_reported(step, particle, record):
     assert got[2:] == expected
 
 
-def test_law_screen_never_clears_a_law_that_leaves_the_range():
+def test_law_screen_never_clears_a_law_that_leaves_the_range(monkeypatch):
     rng = np.random.default_rng(12)
     steps, n, m = 30, 3, 2
     # Maps near the identity, as Euler steps are: the screen stays within
@@ -543,11 +586,13 @@ def test_law_screen_never_clears_a_law_that_leaves_the_range():
         phi, d = mk[k] @ phi, mk[k] @ d + g[k]
         sigma = mk[k] @ sigma @ mk[k].T + gk[k] @ gk[k].T
         worst = max(worst, np.abs(phi).max(), np.abs(d).max(), np.abs(sigma).max())
-    assert not _law_trusted(mk, gk, g, worst * (1.0 - 1e-9))
-    assert _law_trusted(mk, gk, g, 1e2 * worst)
+    monkeypatch.setattr(kernels, "STATE_LIMIT", worst * (1.0 - 1e-9))
+    assert not _law_trusted(mk, gk, g)
+    monkeypatch.setattr(kernels, "STATE_LIMIT", 1e2 * worst)
+    assert _law_trusted(mk, gk, g)
     # A NaN map, or norms whose product underflows, only flags more.
     bad = mk.copy()
     bad[7, 1, 2] = np.nan
-    assert not _law_trusted(bad, gk, g, 1e2 * worst)
+    assert not _law_trusted(bad, gk, g)
     tiny = np.broadcast_to(1e-30 * np.eye(n), (steps, n, n))
-    assert not _law_trusted(tiny, gk, g, 1e2 * worst)
+    assert not _law_trusted(tiny, gk, g)

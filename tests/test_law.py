@@ -220,7 +220,7 @@ def _stiff_scalar():
 
 
 @pytest.mark.parametrize("count", [1, 2, 7, 33])
-def test_rows_equal_particles_for_any_size_and_a_flagged_particle(count, monkeypatch):
+def test_rows_equal_particles_for_any_size_and_a_flagged_particle(count, stepped_widths):
     prior, meas, params, grid = _stiff_scalar()
     particles = sample_prior(count, prior, seed=12).particles.copy()
     # A start past the limit is flagged and stepped; the first step brings
@@ -228,14 +228,7 @@ def test_rows_equal_particles_for_any_size_and_a_flagged_particle(count, monkeyp
     flagged = count // 2
     particles[flagged] = 1.5 * kernels.STATE_LIMIT
     ens = ParticleEnsemble(particles, lam=0.0, seed=12)
-    widths = []
-    stepwise = kernels._em
-
-    def spy(x, *args):
-        widths.append(x.shape[1])
-        return stepwise(x, *args)
-
-    monkeypatch.setattr(kernels, "_em", spy)
+    widths = stepped_widths
     out = propagate_ensemble(ens, params, grid, prior, meas)
     assert widths == [1]
     for i in range(count):

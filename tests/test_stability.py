@@ -284,6 +284,27 @@ def test_ellipsoid_invariance(canonical, make_model):
         ellipsoid_invariance_check(prior, meas, GRID, -1, seed=0)
 
 
+def test_ftss_beta_is_the_smallest_that_check_ftss_admits():
+    rng = np.random.default_rng(58)
+    stepped = 0
+    for alpha, epsilon in zip(10.0 ** rng.uniform(-3.0, 3.0, 2000),
+                              rng.uniform(0.01, 0.99, 2000)):
+        beta = stability._ftss_beta(alpha, epsilon)
+        assert alpha < beta and alpha / beta <= epsilon, (alpha, epsilon)
+        assert beta >= alpha / epsilon
+        if beta != alpha / epsilon:
+            # Stepped up past rounding, and no further.
+            stepped += 1
+            assert alpha / np.nextafter(beta, 0.0) > epsilon, (alpha, epsilon)
+    assert stepped > 0
+    # The defaults give the beta of 4 that FTSS always used.
+    assert stability._ftss_beta(1.0, 0.25) == 4.0
+    for alpha, epsilon in ((0.0, 0.25), (np.nan, 0.25), (np.inf, 0.25),
+                           (1.0, 0.0), (1.0, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="need alpha > 0 and 0 < epsilon < 1"):
+            stability._ftss_beta(alpha, epsilon)
+
+
 def test_build_stability_report(canonical):
     prior, meas = canonical
     params = preset("constant_q", prior, meas, Q0=np.eye(1))
