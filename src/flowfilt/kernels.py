@@ -56,16 +56,23 @@ on its stepped state, as in a law-free run.
 
 One range test, :func:`_first_bad` on :func:`_in_range`, names every
 failure: ``_em``'s after each step (behind an ``x . x`` screen),
-``_chain``'s per block, and ``_affine_run``'s at the start and the
-terminal.  Only ``_chain`` takes a limit: the law's backward chain and
-the moment ODEs test the float range, all else ``STATE_LIMIT``.
+``_chain``'s per block, ``_scan``'s on its prefixes, and
+``_affine_run``'s at the start and the terminal.  Only ``_chain`` and
+``_scan`` take a limit: the law's backward chain and the moment ODEs test
+the float range, all else ``STATE_LIMIT``.
 
 Every drift here is affine, so one classic RK4 step of any deterministic
-solve is an affine map ``y -> T_k y + c_k``.  ``_rk4_maps`` builds the
-maps of all steps in one batched pass and is the only RK4 formula, and
-``_chain`` steps one vector or matrix through them, testing the trusted
-range once per block of ``CHAIN_BLOCK`` steps.  The moment ODEs and the
-error dynamics chain their own solutions through it.
+solve is an affine map ``y -> T_k y + c_k``, and of the covariance ODE
+``dS = (A S + S A^T + Q) dlam`` the map ``S -> T_k S T_k^T + S_k`` to
+fourth order.  ``_rk4_maps`` and ``_rk4_noise`` build the maps of all
+steps in batched passes from one stage formula, ``_rk4_offsets``.  The
+elements ``(T_k, c_k, S_k)`` compose associatively, so ``_scan`` forms
+every prefix ``(Phi_k, d_k, Sigma_k)`` in about 2 log2(steps) batched
+passes; the moment ODEs and the error dynamics read their solutions off
+it.  ``_chain`` steps one vector or matrix through maps one step at a
+time, testing the trusted range once per block of ``CHAIN_BLOCK`` steps;
+it serves only the law's backward chain, and a scan that leaves the range
+composes its elements one step at a time instead.
 
 Kernel return convention: ``(code, step, particle)`` where code 0 means
 success, 1 a non-finite state and 2 a norm overflow.  The reported pair
@@ -151,17 +158,34 @@ def _em(x, mk, gk, g, noise, paths):
     return x, 0, -1, -1
 
 
+def _rk4_offsets(apply, a_nodes, a_mids, h, b_nodes, b_mids):
+    """The offset of one classic RK4 step of ``y' = apply(A, y) + b`` taken
+    from y = 0, for every step at once; h broadcasts against y.
+
+    The stage slopes are ``c1 = b_k``, ``c2 = apply(A_mid, h/2 c1) + b_mid``,
+    ``c3 = apply(A_mid, h/2 c2) + b_mid`` and
+    ``c4 = apply(A_{k+1}, h c3) + b_{k+1}``; the offset is
+    ``h/6 (c1 + 2 c2 + 2 c3 + c4)``.
+    """
+    c1 = b_nodes[:-1]
+    c2 = apply(a_mids, (0.5 * h) * c1) + b_mids
+    c3 = apply(a_mids, (0.5 * h) * c2) + b_mids
+    c4 = apply(a_nodes[1:], h * c3) + b_nodes[1:]
+    return (((c1 + 2.0 * c2) + 2.0 * c3) + c4) * (h / 6.0)
+
+
 def _rk4_maps(a_nodes, a_mids, dlam, b_nodes=None, b_mids=None):
     """One classic RK4 step of ``y' = A y + b`` as the affine map
     ``y -> T_k y + c_k``, for every step at once.
 
     The stage slopes are affine in y, ``k_i = K_i y + c_i``, with
     ``K1 = A_k``, ``K2 = A_mid (I + h/2 K1)``, ``K3 = A_mid (I + h/2 K2)``
-    and ``K4 = A_{k+1} (I + h K3)``; ``T = I + h/6 (K1 + 2 K2 + 2 K3 + K4)``.
-    Returns T (steps, n, n) and c (steps, n), or None for c without b.
+    and ``K4 = A_{k+1} (I + h K3)``; ``T = I + h/6 (K1 + 2 K2 + 2 K3 + K4)``
+    and c is :func:`_rk4_offsets` of b.  Returns T (steps, n, n) and c
+    (steps, n), or None for c without b.
 
     Overflow is silent here: a step past the one where the caller's chain
-    stops may overflow, and the caller's finiteness check catches any
+    stops may overflow, and the caller's range test catches any
     non-finite map that it does use.
     """
     h = np.asarray(dlam, dtype=np.float64)[:, None, None]
@@ -174,17 +198,118 @@ def _rk4_maps(a_nodes, a_mids, dlam, b_nodes=None, b_mids=None):
         t = eye + (((k1 + 2.0 * k2) + 2.0 * k3) + k4) * (h / 6.0)
         if b_nodes is None:
             return t, None
-        h = h[:, :, 0]
-        c1 = b_nodes[:-1]
-        c2 = (a_mids @ ((0.5 * h) * c1)[:, :, None])[:, :, 0] + b_mids
-        c3 = (a_mids @ ((0.5 * h) * c2)[:, :, None])[:, :, 0] + b_mids
-        c4 = (a_nodes[1:] @ (h * c3)[:, :, None])[:, :, 0] + b_nodes[1:]
-        return t, (((c1 + 2.0 * c2) + 2.0 * c3) + c4) * (h / 6.0)
+        return t, _rk4_offsets(lambda a, y: (a @ y[:, :, None])[:, :, 0],
+                               a_nodes, a_mids, h[:, :, 0], b_nodes, b_mids)
 
 
-def _chain(t, y0, c=None, limit=STATE_LIMIT):
-    """Chain ``y[k+1] = t[k] @ y[k] (+ c[k])`` from ``y[0] = y0``, a vector
-    or a matrix, one matmul per step.
+def _lyapunov(a, s):
+    """``A S + S A^T`` for stacks of A and symmetric S."""
+    a_s = a @ s
+    return a_s + np.swapaxes(a_s, 1, 2)
+
+
+def _rk4_noise(a_nodes, a_mids, dlam, q_nodes, q_mids):
+    """The covariance ``S_k`` that one classic RK4 step of
+    ``dS = (A S + S A^T + Q) dlam`` adds from ``S = 0``, (steps, n, n).
+
+    With :func:`_rk4_maps`' ``T_k``, the step ``S -> T_k S T_k^T + S_k``
+    is a fourth-order step of that ODE from any S, so ``(T_k, c_k, S_k)``
+    is the affine element of one moment step.
+    """
+    h = np.asarray(dlam, dtype=np.float64)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rk4_offsets(_lyapunov, a_nodes, a_mids, h, q_nodes, q_mids)
+
+
+def _compose(later, earlier):
+    """The elements ``(Phi, d, S)`` of ``later`` after ``earlier``:
+    ``(Phi_2 Phi_1, Phi_2 d_1 + d_2, Phi_2 S_1 Phi_2^T + S_2)``, on stacks
+    or single elements; a part that is None stays None."""
+    f2, d2, s2 = later
+    f1, d1, s1 = earlier
+    d = None if d2 is None else np.einsum("...ij,...j->...i", f2, d1) + d2
+    # A transposed view would make matmul leave BLAS.
+    s = None if s2 is None else (
+        f2 @ s1 @ np.ascontiguousarray(np.swapaxes(f2, -1, -2)) + s2)
+    return f2 @ f1, d, s
+
+
+def _take(parts, index):
+    return [None if x is None else x[index] for x in parts]
+
+
+def _prefixes(parts):
+    """Inclusive prefixes ``E_k o ... o E_0`` of the element stacks.
+
+    Pairs ``E_{2j+1} o E_{2j}`` are composed in one batched pass, their
+    prefixes (the odd ones) found recursively, and each even prefix is
+    ``E_{2j}`` after the odd one before it: about 2 log2(steps) passes and
+    two compositions per element in all.
+    """
+    length = parts[0].shape[0]
+    if length == 1:
+        return parts
+    pairs = 2 * (length // 2)
+    odd = _prefixes(list(_compose(_take(parts, slice(1, pairs, 2)),
+                                  _take(parts, slice(0, pairs, 2)))))
+    even = _compose(_take(parts, slice(2, None, 2)),
+                    _take(odd, slice(0, (length - 1) // 2)))
+    out = []
+    for x, o, e in zip(parts, odd, even):
+        if x is not None:
+            x, first = np.empty_like(x), x[0]
+            x[0], x[1::2], x[2::2] = first, o, e
+        out.append(x)
+    return out
+
+
+def _scan(t, c=None, s=None, limit=STATE_LIMIT):
+    """Every prefix ``E_{k-1} o ... o E_0`` of the affine elements
+    ``E_k = (T_k, c_k, S_k)`` (:func:`_compose`), as (steps+1, ...) stacks
+    of ``Phi_k``, ``d_k`` and ``Sigma_k`` that start from the identity
+    element ``(I, 0, 0)``.  c and S may be None, and so are their stacks.
+
+    :func:`_prefixes` finds them in about 2 log2(steps) batched passes
+    instead of a chain of steps.  Those passes form products of
+    sub-ranges, which can leave the float range where no prefix does (a
+    1e-200 map before a 1e200 map); so when a scanned prefix leaves the
+    range, the elements are composed again one step at a time, and the
+    first prefix that leaves it names the failing step.  Returns
+    ``(phi, d, sigma, bad)`` with bad that step or -1; rows past it are
+    not meaningful.
+    """
+    steps, n = t.shape[:2]
+    parts = []
+    for part, first in ((t, np.eye(n)), (c, 0.0), (s, 0.0)):
+        if part is not None:
+            stack = np.empty((steps + 1, *part.shape[1:]))
+            stack[0] = first
+            stack[1:] = part
+            part = stack
+        parts.append(part)
+    # An overflow is reported through the range test, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = _prefixes(parts)
+        code, bad = _first_bad(_rows(pre), limit)
+        if code:
+            for k in range(1, steps + 1):
+                for stack, part in zip(pre, _compose(_take(parts, k),
+                                                     _take(pre, k - 1))):
+                    if stack is not None:
+                        stack[k] = part
+            code, bad = _first_bad(_rows(pre), limit)
+    return (*pre, bad - 1 if code else -1)
+
+
+def _rows(stacks):
+    """The stacks as one column per row, for :func:`_first_bad`."""
+    return np.concatenate([x.reshape(x.shape[0], -1) for x in stacks
+                           if x is not None], axis=1).T
+
+
+def _chain(t, y0, limit=STATE_LIMIT):
+    """Chain ``y[k+1] = t[k] @ y[k]`` from ``y[0] = y0``, a vector or a
+    matrix, one matmul per step.
 
     The trusted range is tested once per block of ``CHAIN_BLOCK`` steps,
     on the whole block; when that fails, the first failing step of the
@@ -198,14 +323,11 @@ def _chain(t, y0, c=None, limit=STATE_LIMIT):
     y[0] = y0
     # Views made once: indexing per step costs more than the matmul.
     rows, maps = list(y), list(t)
-    offsets = None if c is None else list(c)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(maps), CHAIN_BLOCK):
             stop = min(start + CHAIN_BLOCK, len(maps))
             for k in range(start, stop):
                 np.matmul(maps[k], rows[k], out=rows[k + 1])
-                if offsets is not None:
-                    rows[k + 1] += offsets[k]
             # Each step of the block is one column.
             code, bad = _first_bad(y[start + 1:stop + 1].reshape(stop - start, -1).T,
                                    limit)

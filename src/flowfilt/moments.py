@@ -1,9 +1,13 @@
 """Ensemble-free propagation of mean and covariance, plus exact oracles.
 
 For affine flows the first two moments obey linear ODEs in lam:
-``dxbar = A xbar + b`` and ``dP = A P + P A^T + Q``.  Their solutions
-must agree with the closed-form Gaussian posterior interpolation for
-every admissible schedule K, which is the backbone of the test suite.
+``dxbar = A xbar + b`` and ``dP = A P + P A^T + Q``.  Both are the prior
+pushed through the flow's affine transition: ``m_k = Phi_k m_0 + d_k``
+and ``P_k = Phi_k P_0 Phi_k^T + Sigma_k``, whose per-step elements
+compose associatively, so one log-depth scan gives every node.  The
+solutions must agree with the closed-form Gaussian posterior
+interpolation for every admissible schedule K, which is the backbone of
+the test suite.
 """
 
 from __future__ import annotations
@@ -69,37 +73,20 @@ def lmv_estimate(prior: GaussianPrior, meas: LinearMeasurement) -> np.ndarray:
     return prior.x_prior + gain @ np.linalg.solve(gram, innov)
 
 
-def _lyapunov_vech(a: np.ndarray) -> np.ndarray:
-    """``L(A)`` with ``vech(A P + P A^T) = L(A) vech(P)``, for a stack of A.
-
-    vech lists the upper triangle row by row (``np.triu_indices``).  Entry
-    (i, j) of ``A P + P A^T`` is ``sum_k A[i,k] P[k,j] + A[j,k] P[k,i]``,
-    so row (i, j) of L takes ``A[i,k]`` at the column of ``P[k,j]`` and
-    ``A[j,k]`` at the column of ``P[k,i]``; both land on one column when
-    i == j.  Returns (L, p, p) with p = n(n+1)/2.
-    """
-    n = a.shape[1]
-    iu, ju = np.triu_indices(n)
-    col = np.empty((n, n), dtype=np.intp)
-    col[iu, ju] = col[ju, iu] = np.arange(iu.size)
-    rows = np.arange(iu.size)[:, None]
-    op = np.zeros((a.shape[0], iu.size, iu.size))
-    op[:, rows, col[ju]] += a[:, iu]
-    op[:, rows, col[iu]] += a[:, ju]
-    return op
-
-
 def solve_moment_odes(params: FlowParameterization, grid: LambdaGrid,
                       prior: GaussianPrior, meas: LinearMeasurement) -> MomentPath:
     """Integrate the moment ODEs with the classic fourth-order scheme.
 
     The grid supplies the nodes only; moments always use the
-    deterministic scheme regardless of ``grid.scheme``.  Both moment ODEs
-    are affine: the mean's, and ``d vech(P) = L(A) vech(P) + vech(Q)``
-    for the covariance (see :func:`_lyapunov_vech`).  Each is stepped as
-    its own chain of RK4 maps (``kernels._rk4_maps``, ``kernels._chain``),
-    and every covariance is rebuilt from its vech, so it is exactly
-    symmetric.
+    deterministic scheme regardless of ``grid.scheme``.  Step k of the
+    mean's ODE is the RK4 map ``m -> T_k m + c_k``
+    (``kernels._rk4_maps``), and of the covariance's ``P -> T_k P T_k^T +
+    S_k``, with ``S_k`` the RK4 step of ``dS = (A S + S A^T + Q) dlam``
+    from ``S = 0`` (``kernels._rk4_noise``).  One scan of the elements
+    ``(T_k, c_k, S_k)`` (``kernels._scan``) gives every prefix
+    ``(Phi_k, d_k, Sigma_k)``, so the prior pushed through it is
+    ``m_k = Phi_k m_0 + d_k`` and ``P_k = Phi_k P_0 Phi_k^T + Sigma_k``,
+    which is symmetrised here, once.
 
     Raises DivergenceError at the first step whose moments are not
     finite.
@@ -107,21 +94,21 @@ def solve_moment_odes(params: FlowParameterization, grid: LambdaGrid,
     nodes = grid.nodes
     a_nodes, b_nodes, q_nodes = affine_tables(params, prior, meas, nodes)
     a_mids, b_mids, q_mids = affine_tables(params, prior, meas, grid.midpoints)
-    iu = np.triu_indices(prior.n)
     finite = np.finfo(float).max
 
     t, c = kernels._rk4_maps(a_nodes, a_mids, grid.dlam, b_nodes, b_mids)
-    means, bad_mean = kernels._chain(t, prior.x_prior, c, finite)
-    t, c = kernels._rk4_maps(_lyapunov_vech(a_nodes), _lyapunov_vech(a_mids),
-                             grid.dlam, q_nodes[:, iu[0], iu[1]],
-                             q_mids[:, iu[0], iu[1]])
-    vechs, bad_cov = kernels._chain(t, prior.P_g[iu], c, finite)
-    if max(bad_mean, bad_cov) >= 0:
-        k = min(bad for bad in (bad_mean, bad_cov) if bad >= 0)
+    s = kernels._rk4_noise(a_nodes, a_mids, grid.dlam, q_nodes, q_mids)
+    phi, d, sigma, _ = kernels._scan(t, c, s, finite)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = phi @ prior.x_prior + d
+        covs = phi @ prior.P_g @ np.swapaxes(phi, 1, 2) + sigma
+        covs = 0.5 * covs + 0.5 * np.swapaxes(covs, 1, 2)
+    # P grows as Phi squared, so the moments can leave the range before
+    # the scanned prefixes do: the range test reads the moments.
+    code, row = kernels._first_bad(kernels._rows([means, covs]), finite)
+    if code:
+        k = row - 1
         raise DivergenceError(
             f"moment propagation diverged at step {k} (lam {nodes[k + 1]:.6g})",
             step=k, lam=nodes[k + 1])
-    covs = np.empty((grid.steps + 1, prior.n, prior.n))
-    covs[:, iu[0], iu[1]] = vechs
-    covs[:, iu[1], iu[0]] = vechs
     return MomentPath(nodes=nodes.copy(), means=means, covariances=covs)

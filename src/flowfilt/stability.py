@@ -10,8 +10,9 @@ uniformly positive definite.
 
 The ODE is linear with no offset, so one RK4 step is a linear map
 ``T_k`` and the RK4 solution is ``xtilde_k = Phi_k xtilde_0`` with
-``Phi_{k+1} = T_k Phi_k``.  The maps of all steps are built in one batched
-pass and chained into the transition matrices ``Phi_k``; every check reads
+``Phi_k = T_{k-1} ... T_0``.  The maps of all steps are built in one
+batched pass and scanned into the transition matrices ``Phi_k``
+(``kernels._scan``); every check reads
 trajectories and Lyapunov traces (``xtilde_0^T Phi_k^T W Phi_k xtilde_0``)
 off them.  The trusted-range check therefore applies to Phi, not to each
 trajectory, whatever the size of the initial errors.
@@ -131,13 +132,20 @@ def _transition(a_of, grid: LambdaGrid) -> np.ndarray:
     """RK4 transition matrices ``Phi`` of ``dx = A(lam) x dlam``, (steps+1, n, n).
 
     ``a_of`` maps lam values to stacked A matrices; it is evaluated at the
-    nodes and at the midpoints.  Each RK4 step is the linear map ``T_k``
-    of ``kernels._rk4_maps``, and ``kernels._chain`` forms
-    ``Phi[k+1] = T_k Phi[k]`` from ``Phi[0] = I``, testing the trusted
-    range per block of steps and naming the first step that leaves it.
+    nodes and at the midpoints, and :func:`_phi` builds Phi from them.
     """
-    t, _ = kernels._rk4_maps(a_of(grid.nodes), a_of(grid.midpoints), grid.dlam)
-    phi, bad = kernels._chain(t, np.eye(t.shape[1]))
+    return _phi(a_of(grid.nodes), a_of(grid.midpoints), grid)
+
+
+def _phi(a_nodes, a_mids, grid: LambdaGrid) -> np.ndarray:
+    """``Phi`` from the drift at the nodes and midpoints of the grid.
+
+    Each RK4 step is the linear map ``T_k`` of ``kernels._rk4_maps``, and
+    ``kernels._scan`` forms every ``Phi_k = T_{k-1} ... T_0``, testing the
+    trusted range and naming the first step that leaves it.
+    """
+    t, _ = kernels._rk4_maps(a_nodes, a_mids, grid.dlam)
+    phi, _, _, bad = kernels._scan(t)
     if bad >= 0:
         lam = grid.nodes[bad + 1]
         raise AdmissibilityError(
@@ -526,10 +534,15 @@ def build_stability_report(params: FlowParameterization, prior: GaussianPrior,
         return bool(fts_ok), bool(ftcs_ok), lambda1 if ftcs_ok else None
 
     # Each grid's transition matrices serve both its deterministic
-    # verdicts and its Monte Carlo check.
+    # verdicts and its Monte Carlo check.  The refined grid's even nodes
+    # are the coarse nodes and its odd nodes the coarse midpoints, so the
+    # drift is evaluated once, on the refined grid.
     fine = _refine(grid)
     a_of = _flow_a(params, prior, meas)
-    phi, phi_fine = _transition(a_of, grid), _transition(a_of, fine)
+    a_fine = a_of(fine.nodes)
+    phi = _phi(np.ascontiguousarray(a_fine[::2]),
+               np.ascontiguousarray(a_fine[1::2]), grid)
+    phi_fine = _phi(a_fine, a_of(fine.midpoints), fine)
     fts_ok, ftcs_ok, lambda1 = deterministic_verdicts(grid, phi)
     fts_ok2, ftcs_ok2, lambda1_fine = deterministic_verdicts(fine, phi_fine)
     ftss = check_ftss(params, prior, meas, grid, alpha, beta_ss, epsilon,

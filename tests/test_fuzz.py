@@ -5,7 +5,8 @@ Every model is drawn from one seed before any check runs, with n in
 re-drawn.  Each model's step count follows from the stiffness of its
 flows, the largest spectral radius of A(lam) on a probe grid, so no
 step count is chosen from an outcome.  The stability report fuzz draws
-its own models the same way, with n in 1..4 and 10 to 50 steps.
+its own models the same way, with n in 1..4 and 10 to 50 steps, and the
+moment fuzz draws 40 models with condition numbers up to 1e3.
 """
 
 import numpy as np
@@ -17,10 +18,12 @@ from flowfilt import (
     LinearMeasurement,
     NoiseStream,
     check_ftss,
+    closed_form_posterior,
     kernels,
     preset,
     propagate_ensemble,
     propagate_particle,
+    solve_moment_odes,
     stability,
 )
 from flowfilt.estimation import sample_prior
@@ -233,15 +236,13 @@ def test_screened_ftss_count_equals_the_exhaustive_count(cases, monkeypatch):
                     == _exhaustive(phi, s_weight, points, beta)), beta
 
 
-def _chain_per_step(t, y0, c, limit):
+def _chain_per_step(t, y0, limit):
     """The chain tested after every step: stack up to the first failing
     step and that step, or -1."""
     y = [np.asarray(y0, dtype=float)]
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(t.shape[0]):
             nxt = t[k] @ y[-1]
-            if c is not None:
-                nxt += c[k]
             y.append(nxt)
             if not (np.abs(nxt) <= limit).all():
                 return np.stack(y), k
@@ -259,7 +260,6 @@ def test_block_tested_chain_equals_the_per_step_chain(steps, fail_at, failure):
         n = shape[0]
         t = 0.9 * np.eye(n) + 0.1 * rng.standard_normal((steps, n, n)) / np.sqrt(n)
         y0 = rng.standard_normal(shape)
-        c = rng.standard_normal((steps, n)) if len(shape) == 1 else None
         if fail_at is not None:
             if failure == "limit":
                 t[fail_at] *= 1e30
@@ -268,8 +268,8 @@ def test_block_tested_chain_equals_the_per_step_chain(steps, fail_at, failure):
             else:
                 t[fail_at, 0] = np.inf
         for limit in (kernels.STATE_LIMIT, np.finfo(float).max):
-            want, want_bad = _chain_per_step(t, y0, c, limit)
-            got, bad = kernels._chain(t, y0, c, limit)
+            want, want_bad = _chain_per_step(t, y0, limit)
+            got, bad = kernels._chain(t, y0, limit)
             assert bad == want_bad
             rows = want.shape[0]
             assert got[:rows].tobytes() == want.tobytes()
@@ -309,3 +309,79 @@ def test_stability_report_never_raises_and_sigma_marks_decay(make_model):
                 problems.append(f"{where}: sigma {report.sigma!r} with regime "
                                 f"{report.regime.value}")
     assert not problems, problems
+
+
+MOMENT_SEED = 20261020
+MOMENT_MODEL_COUNT = 40
+# Relative terminal-moment tolerance of acceptance criterion C1.
+MOMENT_TOL = 1e-6
+
+
+def _draw_moment_models():
+    """40 models with n in 1..6, d in 1..n and P_g, R of condition number
+    up to 1e3, and each model's uniform step count: h * rho(A) <= 0.25 on
+    a probe grid, and at least 1000 steps.  All drawn before any solve."""
+    rng = np.random.default_rng(MOMENT_SEED)
+    cases = []
+    for _ in range(MOMENT_MODEL_COUNT):
+        n = int(rng.integers(1, 7))
+        d = int(rng.integers(1, n + 1))
+        prior = GaussianPrior(rng.standard_normal(n), _spd(rng, n, 1e3))
+        meas = LinearMeasurement(rng.standard_normal((d, n)), _spd(rng, d, 1e3),
+                                 2.0 * rng.standard_normal(d))
+        presets = _presets(prior, meas)
+        probe = np.linspace(0.0, 1.0, 257)
+        rho = max(np.abs(np.linalg.eigvals(
+            affine_tables(p, prior, meas, probe, want_q=False)[0])).max()
+            for p in presets.values())
+        cases.append((prior, meas, presets, max(1000, int(np.ceil(4.0 * rho)))))
+    return cases
+
+
+def _moments_per_step(elements, prior):
+    """The moment elements ``(T_k, c_k, S_k)`` of several solves composed
+    one step at a time, ``m <- T_k m + c_k`` and ``P <- T_k P T_k^T + S_k``,
+    all solves at once."""
+    t, c, s = (np.stack(part, axis=1) for part in zip(*elements))
+    t_tr = np.ascontiguousarray(np.swapaxes(t, 2, 3))
+    means = np.empty((t.shape[0] + 1, *c.shape[1:], 1))
+    covs = np.empty((t.shape[0] + 1, *s.shape[1:]))
+    means[0] = prior.x_prior[:, None]
+    covs[0] = prior.P_g
+    for k in range(t.shape[0]):
+        np.add(t[k] @ means[k], c[k, :, :, None], out=means[k + 1])
+        np.add(t[k] @ covs[k] @ t_tr[k], s[k], out=covs[k + 1])
+    return np.swapaxes(means[..., 0], 0, 1), np.swapaxes(covs, 0, 1)
+
+
+def test_scanned_moments_match_the_oracle_and_the_per_step_composition(monkeypatch):
+    elements = []
+    scan = kernels._scan
+
+    def recording_scan(t, c=None, s=None, limit=kernels.STATE_LIMIT):
+        elements.append((t, c, s))
+        return scan(t, c, s, limit)
+
+    monkeypatch.setattr(kernels, "_scan", recording_scan)
+    misses = []
+    for index, (prior, meas, presets, steps) in enumerate(_draw_moment_models()):
+        grid = LambdaGrid.uniform(steps)
+        oracle_mean, oracle_cov = closed_form_posterior(1.0, prior, meas)
+        elements.clear()
+        paths = {kind: solve_moment_odes(params, grid, prior, meas)
+                 for kind, params in presets.items()}
+        want_means, want_covs = _moments_per_step(elements, prior)
+        for j, (kind, path) in enumerate(paths.items()):
+            for got, want in ((path.means, want_means[j]),
+                              (path.covariances, want_covs[j])):
+                gap = np.abs(got - want).max() / np.abs(want).max()
+                if not gap <= 1e-12:
+                    misses.append(f"model {index} {kind}: scan vs per-step {gap:.2e}")
+            e_mean = np.linalg.norm(path.terminal_mean - oracle_mean) / (
+                1.0 + np.linalg.norm(oracle_mean))
+            e_cov = np.linalg.norm(path.terminal_covariance - oracle_cov) / (
+                1.0 + np.linalg.norm(oracle_cov))
+            if not max(e_mean, e_cov) <= MOMENT_TOL:
+                misses.append(f"model {index} {kind} ({steps} steps): oracle "
+                              f"{max(e_mean, e_cov):.2e}")
+    assert not misses, misses

@@ -596,3 +596,86 @@ def test_law_screen_never_clears_a_law_that_leaves_the_range(monkeypatch):
     assert not _law_trusted(bad, gk, g)
     tiny = np.broadcast_to(1e-30 * np.eye(n), (steps, n, n))
     assert not _law_trusted(tiny, gk, g)
+
+
+def _compose_per_step(t, c, s):
+    """The prefixes of the elements ``(T_k, c_k, S_k)`` composed one step
+    at a time from ``(I, 0, 0)``: ``Phi_{k+1} = T_k Phi_k``,
+    ``d_{k+1} = T_k d_k + c_k`` and ``Sigma_{k+1} = T_k Sigma_k T_k^T + S_k``."""
+    steps, n = t.shape[:2]
+    phi, d, sigma = [np.eye(n)], [np.zeros(n)], [np.zeros((n, n))]
+    with np.errstate(all="ignore"):
+        for k in range(steps):
+            phi.append(t[k] @ phi[-1])
+            d.append(t[k] @ d[-1] + c[k])
+            sigma.append(t[k] @ sigma[-1] @ t[k].T + s[k])
+    return np.stack(phi), np.stack(d), np.stack(sigma)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 64, 1000])
+def test_scan_equals_the_per_step_composition(steps):
+    rng = np.random.default_rng(60 + steps)
+    for n in (1, 3, 5):
+        t = np.eye(n) + 0.05 * rng.standard_normal((steps, n, n))
+        c = rng.standard_normal((steps, n))
+        s = rng.standard_normal((steps, n, n))
+        s = s @ np.swapaxes(s, 1, 2)
+        want = _compose_per_step(t, c, s)
+        phi, d, sigma, bad = kernels._scan(t, c, s)
+        assert bad == -1
+        assert np.array_equal(phi[0], np.eye(n))
+        for got, ref in zip((phi, d, sigma), want):
+            assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        assert_allclose(kernels._scan(t)[0], phi, rtol=0.0, atol=0.0)
+
+
+def test_scan_survives_a_sub_range_overflow_that_no_prefix_reaches():
+    # Every prefix is finite (Phi is 1e-200, 1, 1e200 times a rotation;
+    # d and Sigma are nonzero from the last step on), but the product of
+    # the last two maps alone is 1e400.
+    rng = np.random.default_rng(61)
+    rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    t = np.stack([1e-200 * rot, 1e200 * rot, 1e200 * rot.T])
+    c = np.zeros((3, 3))
+    c[2] = rng.standard_normal(3)
+    s = np.zeros((3, 3, 3))
+    s[2] = np.eye(3)
+    with np.errstate(all="ignore"):
+        tree = kernels._prefixes([np.concatenate([np.eye(3)[None], t]), None, None])
+    assert not np.isfinite(tree[0]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, d, sigma, bad = kernels._scan(t, c, s, np.finfo(float).max)
+    assert bad == -1
+    for got, ref in zip((phi, d, sigma), _compose_per_step(t, c, s)):
+        assert np.isfinite(got).all()
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("failure", ["limit", "nan", "inf"])
+@pytest.mark.parametrize("limit", [STATE_LIMIT, np.finfo(float).max])
+def test_scan_names_the_first_failing_step_of_the_chain(failure, limit):
+    rng = np.random.default_rng(62)
+    for trial in range(20):
+        steps = int(rng.integers(1, 300))
+        n = int(rng.integers(1, 5))
+        t = 0.9 * np.eye(n) + 0.1 * rng.standard_normal((steps, n, n)) / np.sqrt(n)
+        c = rng.standard_normal((steps, n))
+        fail_at = int(rng.integers(0, steps))
+        if failure == "limit":
+            t[fail_at] *= 1e30
+        elif failure == "nan":
+            t[fail_at, 0, 0] = np.nan
+        else:
+            t[fail_at, 0] = np.inf
+        # The augmented maps [[T_k, c_k], [0, 1]] chain Phi_k and d_k at once.
+        aug = np.zeros((steps, n + 1, n + 1))
+        aug[:, :n, :n], aug[:, :n, n], aug[:, n, n] = t, c, 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = kernels._chain(t, np.eye(n), limit=limit)[1]
+            want_d = kernels._chain(aug, np.eye(n + 1), limit=limit)[1]
+            got = kernels._scan(t, limit=limit)[-1]
+            got_d = kernels._scan(t, c, limit=limit)[-1]
+        assert got == want, (trial, steps, fail_at)
+        assert got_d == want_d, (trial, steps, fail_at)

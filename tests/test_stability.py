@@ -348,26 +348,52 @@ def test_report_builds_each_grids_transition_once(monkeypatch, make_model):
     prior, meas = make_model(np.random.default_rng(55), 2, 1)
     params = preset("fixed_q", prior, meas)
     grid = LambdaGrid.uniform(100)
-    built, ftss_phis = [], []
-    transition, ftss = stability._transition, stability.check_ftss
+    built, ftss_phis, drift_nodes = [], [], []
+    phi_of, ftss, flow_a = stability._phi, stability.check_ftss, stability._flow_a
 
-    def counting_transition(a_of, g):
+    def counting_phi(a_nodes, a_mids, g):
         built.append(g.steps)
-        return transition(a_of, g)
+        return phi_of(a_nodes, a_mids, g)
 
     def recording_ftss(*args, **kwargs):
         ftss_phis.append(kwargs["phi"])
         return ftss(*args, **kwargs)
 
-    monkeypatch.setattr(stability, "_transition", counting_transition)
+    def counting_flow_a(*args):
+        a_of = flow_a(*args)
+
+        def counted(lams):
+            drift_nodes.append(len(lams))
+            return a_of(lams)
+
+        return counted
+
+    monkeypatch.setattr(stability, "_phi", counting_phi)
     monkeypatch.setattr(stability, "check_ftss", recording_ftss)
+    monkeypatch.setattr(stability, "_flow_a", counting_flow_a)
     report = build_stability_report(params, prior, meas, grid, n_mc=200, seed=2)
     assert built == [100, 200]
+    # The drift is evaluated once, at the refined grid's nodes and midpoints.
+    assert drift_nodes == [201, 200]
     assert [phi.shape[0] for phi in ftss_phis] == [101, 201]
     monkeypatch.undo()
     # The shared Phi is the one check_ftss would build itself.
     alone = check_ftss(params, prior, meas, grid, 1.0, 4.0, 0.25, 200, 2)
     assert report.ftss == alone
+
+
+@pytest.mark.parametrize("kind", ["exact", "fixed_q", "constant_q", "diagnostic"])
+def test_coarse_transition_from_the_refined_tables_is_bitwise(kind, make_model):
+    rng = np.random.default_rng(56)
+    for n, d, steps in [(4, 2, 1000), (3, 1, 37), (1, 1, 5)]:
+        prior, meas = make_model(rng, n, d)
+        kwargs = {"Q0": np.eye(n)} if kind == "constant_q" else {}
+        a_of = stability._flow_a(preset(kind, prior, meas, **kwargs), prior, meas)
+        grid = LambdaGrid.uniform(steps)
+        a_fine = a_of(stability._refine(grid).nodes)
+        sliced = stability._phi(np.ascontiguousarray(a_fine[::2]),
+                                np.ascontiguousarray(a_fine[1::2]), grid)
+        assert sliced.tobytes() == stability._transition(a_of, grid).tobytes()
 
 
 def test_error_trajectory_rejects_wrong_shapes(canonical):
