@@ -12,7 +12,7 @@ with ``W_j = M_{N-1} ... M_{j+1} G_j``.  Its terminal therefore has the
 law ``N(Phi_N x_0 + d_N, Sigma)`` with ``Sigma = sum_j W_j W_j^T``, and one
 particle needs only ``r = rank Sigma <= n`` normals ``eta``:
 ``x_N = Phi_N x_0 + F eta + d_N`` with ``F F^T = Sigma``.  :func:`_em_law`
-chains the augmented maps backwards once into ``Phi_N``, ``d_N`` and W,
+scans the augmented maps backwards once into ``Phi_N``, ``d_N`` and W,
 sums Sigma in a fixed order and factors it into F with
 :func:`~flowfilt.flows.diffusion_factor`; the caller draws eta, and
 :func:`_affine_run` forms the terminal as one ``_em`` step on the map
@@ -56,10 +56,9 @@ on its stepped state, as in a law-free run.
 
 One range test, :func:`_first_bad` on :func:`_in_range`, names every
 failure: ``_em``'s after each step (behind an ``x . x`` screen),
-``_chain``'s per block, ``_scan``'s on its prefixes, and
-``_affine_run``'s at the start and the terminal.  Only ``_chain`` and
-``_scan`` take a limit: the law's backward chain and the moment ODEs test
-the float range, all else ``STATE_LIMIT``.
+``_scan``'s on its prefixes, and ``_affine_run``'s at the start and the
+terminal.  Only ``_scan`` takes a limit: the law's backward chain and the
+moment ODEs test the float range, all else ``STATE_LIMIT``.
 
 Every drift here is affine, so one classic RK4 step of any deterministic
 solve is an affine map ``y -> T_k y + c_k``, and of the covariance ODE
@@ -68,11 +67,10 @@ fourth order.  ``_rk4_maps`` and ``_rk4_noise`` build the maps of all
 steps in batched passes from one stage formula, ``_rk4_offsets``.  The
 elements ``(T_k, c_k, S_k)`` compose associatively, so ``_scan`` forms
 every prefix ``(Phi_k, d_k, Sigma_k)`` in about 2 log2(steps) batched
-passes; the moment ODEs and the error dynamics read their solutions off
-it.  ``_chain`` steps one vector or matrix through maps one step at a
-time, testing the trusted range once per block of ``CHAIN_BLOCK`` steps;
-it serves only the law's backward chain, and a scan that leaves the range
-composes its elements one step at a time instead.
+passes.  It is the only chain: the moment ODEs, the error dynamics and
+the law's backward chain read their solutions off it.  A scan that
+leaves the range composes its elements one step at a time instead, so
+the first prefix that leaves it names the failing step.
 
 Kernel return convention: ``(code, step, particle)`` where code 0 means
 success, 1 a non-finite state and 2 a norm overflow.  The reported pair
@@ -89,8 +87,8 @@ from .flows import diffusion_factor
 
 # States with any coordinate beyond this magnitude count as diverged.
 STATE_LIMIT = 1e12
-# Steps per whole-block trusted-range test in ``_chain``.
-CHAIN_BLOCK = 64
+# Particles per block of the collapsed terminal step.
+TERMINAL_BLOCK = 1024
 # Per-step increments of one block of flagged particles, in float64 entries.
 STEP_BUDGET = 1 << 21
 
@@ -129,25 +127,29 @@ def _em(x, mk, gk, g, noise, paths):
     ``[M_k | G_k]`` transposed to (n+m, n, 1), so one product with
     ``z[:, None, :]`` forms every term of the step.  One reduction over
     the term axis sums them into ``x = z[:n]`` from +0.0 with the column
-    index ascending, and g_k comes last.  ``x . x <= STATE_LIMIT**2 / 4``
-    clears every state of a step at once (NaN fails it); :func:`_first_bad`
-    runs only when it fails.
+    index ascending, and g_k comes last.  One particle with n = 1 gets a
+    second, zero column, since its terms would otherwise reduce as one
+    contiguous vector, which numpy sums pairwise.
+    ``x . x <= STATE_LIMIT**2 / 4`` clears every state of a step at once
+    (NaN fails it); :func:`_first_bad` runs only when it fails.
     """
     n, m = gk.shape[1:]
+    count = x.shape[1]
     coef = np.concatenate([mk, gk], axis=2)
     coef = np.ascontiguousarray(coef.transpose(0, 2, 1))[..., None]
     g = g[:, :, None]
-    z = np.empty((n + m, x.shape[1]))
-    z[:n] = x
-    x, flat, zs = z[:n], z[:n].reshape(-1), z[:, None, :]
-    prods = np.empty((n + m, n, x.shape[1]))
+    z = np.zeros((n + m, 2 if n == count == 1 else count))
+    z[:n, :count] = x
+    sums, zs = z[:n], z[:, None, :]
+    x, xi, flat = sums[:, :count], z[n:, :count], sums.reshape(-1)
+    prods = np.empty((n + m, *sums.shape))
     xis = list(noise)
     clear = 0.25 * STATE_LIMIT * STATE_LIMIT
     for k, (c, offset) in enumerate(zip(coef, g)):
         if m:
-            z[n:] = xis[k]
+            xi[...] = xis[k]
         np.multiply(c, zs, out=prods)
-        np.add.reduce(prods, axis=0, initial=0.0, out=x)
+        np.add.reduce(prods, axis=0, initial=0.0, out=sums)
         x += offset
         if paths is not None:
             paths[:, k + 1, :] = x.T
@@ -307,35 +309,6 @@ def _rows(stacks):
                            if x is not None], axis=1).T
 
 
-def _chain(t, y0, limit=STATE_LIMIT):
-    """Chain ``y[k+1] = t[k] @ y[k]`` from ``y[0] = y0``, a vector or a
-    matrix, one matmul per step.
-
-    The trusted range is tested once per block of ``CHAIN_BLOCK`` steps,
-    on the whole block; when that fails, the first failing step of the
-    block is found and the chain stops.  Steps past it inside the block
-    are chained under a silenced overflow, so an overflow is reported by
-    the range test, not by a floating-point warning.  Returns the
-    (steps+1, ...) stack and the first failing step, or -1; rows past the
-    failing step are not meaningful.
-    """
-    y = np.empty((t.shape[0] + 1, *np.shape(y0)))
-    y[0] = y0
-    # Views made once: indexing per step costs more than the matmul.
-    rows, maps = list(y), list(t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(maps), CHAIN_BLOCK):
-            stop = min(start + CHAIN_BLOCK, len(maps))
-            for k in range(start, stop):
-                np.matmul(maps[k], rows[k], out=rows[k + 1])
-            # Each step of the block is one column.
-            code, bad = _first_bad(y[start + 1:stop + 1].reshape(stop - start, -1).T,
-                                   limit)
-            if code:
-                return y, start + bad
-    return y, -1
-
-
 def _contig(a):
     return np.ascontiguousarray(a, dtype=np.float64)
 
@@ -358,15 +331,16 @@ def _em_collapse(mk, gk, g):
     with ``W_j = M_{N-1} ... M_{j+1} G_j``, as (n + steps m, n), and
     ``d_N``, so that ``x_N = C [x_0; xi_0; ...; xi_{N-1}] + d_N``; or
     (None, None) when the chained maps leave the finite range.  The
-    augmented maps ``[[M_k, g_k], [0, 1]]`` are chained backwards, as
-    transposes, so ``tails[k]`` is ``(A_{N-1} ... A_{N-k})^T``.
+    transposes of the augmented maps ``A_k = [[M_k, g_k], [0, 1]]`` are
+    scanned in reverse order (:func:`_scan`), so ``tails[k]`` is
+    ``(A_{N-1} ... A_{N-k})^T``.
     """
     steps, n, m = gk.shape
     aug = np.zeros((steps, n + 1, n + 1))
     aug[:, :n, :n] = mk[::-1].transpose(0, 2, 1)
     aug[:, n, :n] = g[::-1]
     aug[:, n, n] = 1.0
-    tails, bad = _chain(aug, np.eye(n + 1), limit=np.finfo(np.float64).max)
+    tails, _, _, bad = _scan(aug, limit=np.finfo(np.float64).max)
     if bad >= 0:
         return None, None
     ct = np.empty((n + steps * m, n))
@@ -469,7 +443,7 @@ def _bridge(ut, eta, zeta):
 def _affine_run(x0, law, eta, increments, record=False):
     """Propagate the (N, n) states to the terminal ``Phi x0 + F eta + d``,
     one :func:`_em` step on ``[Phi_N | F]``, ``d_N`` with the (r, N) draws
-    eta as its noise.
+    eta as its noise, taken in blocks of ``TERMINAL_BLOCK`` particles.
 
     ``increments(idx)`` returns the (steps, m, len(idx)) increments of
     the particles idx, along which flagged particles (see the module
@@ -485,15 +459,20 @@ def _affine_run(x0, law, eta, increments, record=False):
         paths = np.empty((count, steps + 1, n))
         paths[:, 0, :] = x.T
     code, step, particle = 0, -1, -1
+    out = np.empty_like(x)
     # An overflow is reported through the divergence code, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.empty_like(x) if law.ct is None else _em(
-            x, law.ct[None, :n].transpose(0, 2, 1), law.f[None], law.d[None],
-            eta[None], None)[0]
+        if law.ct is not None:
+            phi = law.ct[None, :n].transpose(0, 2, 1)
+            for start in range(0, count, TERMINAL_BLOCK):
+                cols = slice(start, start + TERMINAL_BLOCK)
+                out[:, cols] = _em(x[:, cols], phi, law.f[None], law.d[None],
+                                   eta[None, :, cols], None)[0]
         if record or not law.trusted:
             idx = np.arange(count)
         else:
-            idx = np.flatnonzero(~_in_range(np.concatenate([x, out]), STATE_LIMIT))
+            idx = np.flatnonzero(~(_in_range(x, STATE_LIMIT)
+                                   & _in_range(out, STATE_LIMIT)))
         width = max(1, len(idx) if record else STEP_BUDGET // max(steps * m, 1))
         for start in range(0, len(idx), width):
             cols = idx[start:start + width]

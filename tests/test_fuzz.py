@@ -236,45 +236,6 @@ def test_screened_ftss_count_equals_the_exhaustive_count(cases, monkeypatch):
                     == _exhaustive(phi, s_weight, points, beta)), beta
 
 
-def _chain_per_step(t, y0, limit):
-    """The chain tested after every step: stack up to the first failing
-    step and that step, or -1."""
-    y = [np.asarray(y0, dtype=float)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(t.shape[0]):
-            nxt = t[k] @ y[-1]
-            y.append(nxt)
-            if not (np.abs(nxt) <= limit).all():
-                return np.stack(y), k
-    return np.stack(y), -1
-
-
-@pytest.mark.parametrize("steps, fail_at, failure", [
-    (64, None, None), (128, None, None), (150, None, None), (64, 63, "limit"),
-    *[(150, step, failure) for step in (0, 63, 64, 65, 149)
-      for failure in ("limit", "nan", "inf")],
-])
-def test_block_tested_chain_equals_the_per_step_chain(steps, fail_at, failure):
-    rng = np.random.default_rng(SEED + steps)
-    for shape in [(1,), (4,), (3, 3)]:
-        n = shape[0]
-        t = 0.9 * np.eye(n) + 0.1 * rng.standard_normal((steps, n, n)) / np.sqrt(n)
-        y0 = rng.standard_normal(shape)
-        if fail_at is not None:
-            if failure == "limit":
-                t[fail_at] *= 1e30
-            elif failure == "nan":
-                t[fail_at, 0, 0] = np.nan
-            else:
-                t[fail_at, 0] = np.inf
-        for limit in (kernels.STATE_LIMIT, np.finfo(float).max):
-            want, want_bad = _chain_per_step(t, y0, limit)
-            got, bad = kernels._chain(t, y0, limit)
-            assert bad == want_bad
-            rows = want.shape[0]
-            assert got[:rows].tobytes() == want.tobytes()
-
-
 REPORT_SEED = 20261019
 REPORT_MODELS_PER_SHAPE = 8
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -253,13 +255,40 @@ def test_chunked_and_unchunked_ensembles_agree(monkeypatch, stepped_widths, cano
     assert np.array_equal(propagate_ensemble(head, params, grid, prior, meas).particles,
                           full.particles[:6])
     # Stepping every particle, three per block of bridge increments,
-    # leaves every row on its collapsed terminal.
+    # leaves every row on its collapsed terminal, formed four at a time.
     _untrusted_law(monkeypatch)
     monkeypatch.setattr(kernels, "STEP_BUDGET", 90)
+    monkeypatch.setattr(kernels, "TERMINAL_BLOCK", 4)
     widths = stepped_widths
     chunked = propagate_ensemble(ens, params, grid, prior, meas)
     assert widths == [3] * 5 + [2]
     assert np.array_equal(full.particles, chunked.particles)
+
+
+def test_terminal_memory_does_not_grow_with_the_ensemble(make_model, stepped_widths):
+    # The seed-1 model of the update_em benchmark workload: n = 4, d = 2,
+    # fixed_q on 500 steps, with r = 2 normals per particle.
+    seed = int(np.random.SeedSequence([1, 0]).generate_state(1, np.uint64)[0])
+    prior, meas = make_model(np.random.default_rng(seed), 4, 2)
+    tables = build_tables(preset("fixed_q", prior, meas), LambdaGrid.uniform(500),
+                          prior, meas)
+    law = kernels._em_law(*kernels._em_maps(tables.a_nodes, tables.b_nodes,
+                                            tables.q_factors, tables.dlam))
+    assert law.trusted and law.f.shape == (4, 2)
+    count = 10_000
+    rng = np.random.default_rng(39)
+    x0 = prior.x_prior + rng.standard_normal((count, 4))
+    eta = rng.standard_normal((2, count))
+    tracemalloc.start()
+    try:
+        got = kernels._affine_run(x0, law, eta, lambda idx: None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got[2:] == (0, -1, -1) and stepped_widths == []
+    # The states in and out are 0.32 MB each; one (n + r, n, N) product
+    # stack for the whole ensemble took the peak to 2.7 MB.
+    assert peak < 1.5e6, peak
 
 
 def test_rk4_rejects_stochastic_flow(canonical):

@@ -75,11 +75,18 @@ def _collapsed_map(mk, gk, g):
 
 def _run_ref(x0, mk, gk, g, noise):
     """The stepwise states of ``_step_ref`` at steps 1..N-1, and at the
-    last node each particle alone through the collapsed map: from 0.0,
-    the terms of ``[x_0; xi_0; ...; xi_{N-1}]`` in ascending order, then
-    ``d_N``."""
+    last node each particle alone through the kernel's collapsed map:
+    from 0.0, the terms of ``[x_0; xi_0; ...; xi_{N-1}]`` in ascending
+    order, then ``d_N``.
+
+    The kernel scans its map, which rounds differently from the
+    sequential ``_collapsed_map``; the two agree to 1e-12 of the largest
+    entry."""
     paths = _step_ref(x0, mk, gk, g, noise)
-    c, d = _collapsed_map(mk, gk, g)
+    ct, d = kernels._em_collapse(mk, gk, g)
+    c = ct.T
+    for got, ref in zip((c, d), _collapsed_map(mk, gk, g)):
+        assert_allclose(got, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
     for i in range(x0.shape[0]):
         paths[i, -1] = _affine_ref(c, d, list(x0[i]) + list(noise[:, :, i].ravel()))
     return paths
@@ -199,6 +206,26 @@ def test_em_matches_scalar_reference_bitwise(m, record):
         assert _same_bits(paths, expected)
     else:
         assert paths is None
+
+
+def test_one_particle_sums_in_order_in_one_dimension():
+    # A one-particle n = 1 step would reduce its terms as one contiguous
+    # vector, which numpy sums pairwise from 8 terms on.
+    rng = np.random.default_rng(64)
+    steps = 5
+    for trial in range(40):
+        m = int(rng.integers(7, 20))
+        x0 = rng.standard_normal((3, 1))
+        a_all = 0.5 * rng.standard_normal((steps, 1, 1))
+        b_all = rng.standard_normal((steps, 1))
+        q_all = rng.standard_normal((steps, 1, m))
+        noise = rng.standard_normal((steps, m, 3))
+        dlam = rng.uniform(0.05, 0.2, steps)
+        wide = em_propagate(x0, a_all, b_all, q_all, noise, dlam)[0]
+        alone = em_propagate(x0[:1], a_all, b_all, q_all, noise[:, :, :1], dlam)[0]
+        expected = _em_step_ref(x0[:1], a_all, b_all, q_all, noise[:, :, :1], dlam)
+        assert _same_bits(alone, expected[:, -1]), (trial, m)
+        assert _same_bits(alone, wide[:1]), (trial, m)
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -515,8 +542,31 @@ def test_em_overflowing_chain_reports_the_stepwise_failure(record):
     assert _same_bits(alone[0], 0.25 * x0[:1])
 
 
+def test_law_survives_a_pair_overflow_that_no_tail_reaches():
+    # Maps of 1e200, 1e200 and 1e-200 times a rotation: every backward
+    # tail is finite (1e-200, 1 and 1e200 times a rotation), but the scan
+    # pairs M_1 and M_0, whose product is 1e400.
+    rng = np.random.default_rng(63)
+    n, m = 3, 2
+    rot = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mk = np.stack([1e200 * rot.T, 1e200 * rot, 1e-200 * rot])
+    gk = rng.standard_normal((3, n, m))
+    g = rng.standard_normal((3, n))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(mk[1] @ mk[0]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        law = kernels._em_law(mk, gk, g)
+    # The per-step fallback chains the tails in the sequential order.
+    c, d = _collapsed_map(mk, gk, g)
+    assert law.ct is not None and np.isfinite(law.ct).all()
+    assert _same_bits(law.ct, np.ascontiguousarray(c.T))
+    assert _same_bits(law.d, d)
+    assert law.f.shape == (n, n) and not law.trusted
+
+
 @pytest.mark.parametrize("record", [False, True])
-def test_run_without_a_finite_law_ends_on_the_stepped_state(record):
+def test_run_without_a_finite_law_ends_on_the_stepped_state(record, stepped_widths):
     # The maps of test_em_overflowing_chain_reports_the_stepwise_failure:
     # the backward chain passes the float range, so there is no law, and
     # every particle is stepped and ends on its stepped state.
@@ -533,6 +583,7 @@ def test_run_without_a_finite_law_ends_on_the_stepped_state(record):
             x0, law, np.zeros((0, 2)),
             lambda idx: np.zeros((steps, 0, len(idx))), record)
     assert (code, step, particle) == (0, -1, -1)
+    assert stepped_widths == [2]
     assert _same_bits(states, 0.25 * x0)
     if record:
         assert _same_bits(paths[:, -1], 0.25 * x0)
@@ -601,13 +652,15 @@ def test_law_screen_never_clears_a_law_that_leaves_the_range(monkeypatch):
 def _compose_per_step(t, c, s):
     """The prefixes of the elements ``(T_k, c_k, S_k)`` composed one step
     at a time from ``(I, 0, 0)``: ``Phi_{k+1} = T_k Phi_k``,
-    ``d_{k+1} = T_k d_k + c_k`` and ``Sigma_{k+1} = T_k Sigma_k T_k^T + S_k``."""
+    ``d_{k+1} = T_k d_k + c_k`` and ``Sigma_{k+1} = T_k Sigma_k T_k^T + S_k``.
+    ``T_k d_k`` is an einsum, as in ``kernels._compose``: matmul sums a
+    matrix-vector product in another order."""
     steps, n = t.shape[:2]
     phi, d, sigma = [np.eye(n)], [np.zeros(n)], [np.zeros((n, n))]
     with np.errstate(all="ignore"):
         for k in range(steps):
             phi.append(t[k] @ phi[-1])
-            d.append(t[k] @ d[-1] + c[k])
+            d.append(np.einsum("ij,j->i", t[k], d[-1]) + c[k])
             sigma.append(t[k] @ sigma[-1] @ t[k].T + s[k])
     return np.stack(phi), np.stack(d), np.stack(sigma)
 
@@ -652,30 +705,50 @@ def test_scan_survives_a_sub_range_overflow_that_no_prefix_reaches():
         assert got.tobytes() == ref.tobytes()
 
 
+def _first_failing_step(stacks, limit):
+    """The first step whose prefix row in the per-step stacks has an
+    entry past the limit or not finite, or -1."""
+    rows = np.concatenate([x.reshape(x.shape[0], -1) for x in stacks], axis=1)
+    bad = ~(np.abs(rows) <= limit).all(axis=1)
+    return int(np.argmax(bad)) - 1 if bad.any() else -1
+
+
 @pytest.mark.parametrize("failure", ["limit", "nan", "inf"])
 @pytest.mark.parametrize("limit", [STATE_LIMIT, np.finfo(float).max])
 def test_scan_names_the_first_failing_step_of_the_chain(failure, limit):
     rng = np.random.default_rng(62)
-    for trial in range(20):
-        steps = int(rng.integers(1, 300))
+    # A failure at step 0, on both sides of a power of two and at the last
+    # step, then at random steps of random lengths.
+    plants = [(150, 0), (150, 127), (150, 128), (150, 149), (1, 0)]
+    plants += [(steps, int(rng.integers(0, steps)))
+               for steps in rng.integers(1, 300, size=20)]
+    for trial, (steps, fail_at) in enumerate(plants):
         n = int(rng.integers(1, 5))
         t = 0.9 * np.eye(n) + 0.1 * rng.standard_normal((steps, n, n)) / np.sqrt(n)
         c = rng.standard_normal((steps, n))
-        fail_at = int(rng.integers(0, steps))
+        s = rng.standard_normal((steps, n, n))
+        s = s @ np.swapaxes(s, 1, 2)
         if failure == "limit":
             t[fail_at] *= 1e30
         elif failure == "nan":
             t[fail_at, 0, 0] = np.nan
         else:
             t[fail_at, 0] = np.inf
-        # The augmented maps [[T_k, c_k], [0, 1]] chain Phi_k and d_k at once.
-        aug = np.zeros((steps, n + 1, n + 1))
-        aug[:, :n, :n], aug[:, :n, n], aug[:, n, n] = t, c, 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            want = kernels._chain(t, np.eye(n), limit=limit)[1]
-            want_d = kernels._chain(aug, np.eye(n + 1), limit=limit)[1]
-            got = kernels._scan(t, limit=limit)[-1]
-            got_d = kernels._scan(t, c, limit=limit)[-1]
-        assert got == want, (trial, steps, fail_at)
-        assert got_d == want_d, (trial, steps, fail_at)
+        want = _compose_per_step(t, c, s)
+        for parts in ((t,), (t, c), (t, c, s)):
+            ref = want[:len(parts)]
+            want_bad = _first_failing_step(ref, limit)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                *got, bad = kernels._scan(*parts, limit=limit)
+            assert bad == want_bad, (trial, steps, fail_at, len(parts))
+            if failure != "limit" or limit == STATE_LIMIT:
+                assert want_bad == fail_at
+            for stack, row in zip(got, ref):
+                if bad >= 0:
+                    # The per-step fallback composes in the reference's
+                    # order, up to the failing step and its row.
+                    assert stack[:bad + 2].tobytes() == row[:bad + 2].tobytes()
+                else:
+                    assert_allclose(stack, row, rtol=0.0,
+                                    atol=1e-12 * np.abs(row).max())
