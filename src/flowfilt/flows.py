@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AdmissibilityError
-from .model import GaussianPrior, HomotopyDerivatives, LinearMeasurement, _check_lambda
+from .model import (GaussianPrior, HomotopyDerivatives, LinearMeasurement, _check_lambda,
+                    _check_model, homotopy_derivatives)
 
 # A matrix with an eigenvalue below -tol times its largest eigenvalue
 # magnitude is indefinite; slightly negative eigenvalues are rounding noise.
@@ -119,9 +119,8 @@ def is_admissible(K, derivs: HomotopyDerivatives) -> bool:
 def q_from_k(K, derivs: HomotopyDerivatives) -> np.ndarray:
     """Diffusion matrix induced by K: ``M^{-1} (K + K^T - hess_log_h) M^{-1}``."""
     K = np.asarray(K, dtype=float)
-    m_fac = cho_factor(derivs.M, lower=True)
     num = K + K.T - derivs.hess_log_h
-    q = cho_solve(m_fac, cho_solve(m_fac, num).T)
+    q = np.linalg.solve(derivs.M, np.linalg.solve(derivs.M, num).T)
     return _sym(q)
 
 
@@ -139,16 +138,13 @@ def drift(x, lam, K, prior: GaussianPrior, meas: LinearMeasurement) -> np.ndarra
     """Flow drift at (x, lam) for schedule matrix K.
 
     Implements ``f = L^{-1} [-grad_log_h + K L^{-1} grad_log_p]`` with
-    ``L = hess_log_p``, using Cholesky solves against ``M = -L``.
+    ``L = hess_log_p``, using linear solves against ``M = -L``.
     """
-    from .model import homotopy_derivatives
-
     derivs = homotopy_derivatives(x, lam, prior, meas)
     K = np.asarray(K, dtype=float)
-    m_fac = cho_factor(derivs.M, lower=True)
-    w = -cho_solve(m_fac, derivs.grad_log_p)
+    w = -np.linalg.solve(derivs.M, derivs.grad_log_p)
     inner = -derivs.grad_log_h + K @ w
-    return -cho_solve(m_fac, inner)
+    return -np.linalg.solve(derivs.M, inner)
 
 
 class FlowParameterization:
@@ -171,6 +167,7 @@ class FlowParameterization:
 
     def k_stack(self, lambdas, prior: GaussianPrior, meas: LinearMeasurement) -> np.ndarray:
         """Evaluate K on a batch of lam values; returns shape (L, n, n)."""
+        _check_model(prior, meas)
         lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
         ks = self._k_builder(lambdas, prior, meas)
         n = prior.n
@@ -182,6 +179,7 @@ class FlowParameterization:
 
     def q_stack(self, lambdas, prior: GaussianPrior, meas: LinearMeasurement) -> np.ndarray:
         """Induced diffusion on a batch of lam values; returns (L, n, n)."""
+        _check_model(prior, meas)
         lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
         if self._q_builder is not None:
             return self._q_builder(lambdas, prior, meas)
@@ -239,8 +237,8 @@ def affine_tables(params: FlowParameterization, prior: GaussianPrior,
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     _check_lambdas(lambdas)
     g_info = meas.info_matrix
-    m_inv = np.linalg.inv(_m_stack(lambdas, prior, meas))
     ks = params.k_stack(lambdas, prior, meas)
+    m_inv = np.linalg.inv(_m_stack(lambdas, prior, meas))
 
     if not params.analytic_admissible:
         _require_admissible(params, ks, g_info, lambdas)
@@ -248,7 +246,7 @@ def affine_tables(params: FlowParameterization, prior: GaussianPrior,
     a_stack = -(m_inv @ (g_info + ks))
 
     # b = f(0, lam): drift formula evaluated at the origin.
-    v = cho_solve((prior.chol, True), prior.x_prior)
+    v = np.linalg.solve(prior.P_g, prior.x_prior)
     u = meas.info_vector
     grad0 = v[None, :] + lambdas[:, None] * u[None, :]
     w0 = -np.einsum("lij,lj->li", m_inv, grad0)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConfigError
 
@@ -69,8 +68,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class GaussianPrior:
     """Gaussian prior with mean ``x_prior`` and covariance ``P_g``.
 
-    The Cholesky factor and the precision matrix are computed once at
-    construction and reused by every downstream operation.
+    The precision matrix (the inverse of P_g) and the Cholesky factor, for
+    sampling, are computed once at construction and reused downstream.
     """
 
     x_prior: np.ndarray
@@ -84,7 +83,7 @@ class GaussianPrior:
                 f"P_g has shape {p.shape} but x_prior has dimension {x.size}"
             )
         chol = np.linalg.cholesky(p)
-        precision = cho_solve((chol, True), np.eye(x.size))
+        precision = np.linalg.inv(p)
         precision = 0.5 * (precision + precision.T)
         object.__setattr__(self, "x_prior", _freeze(x))
         object.__setattr__(self, "P_g", _freeze(p))
@@ -125,7 +124,7 @@ class LinearMeasurement:
             raise ValueError(f"z has dimension {z.size} but H has {d} rows")
         chol_r = np.linalg.cholesky(r)
         # H^T R^{-1} and derived products appear in every gradient call.
-        ht_rinv = cho_solve((chol_r, True), h).T
+        ht_rinv = np.linalg.solve(r, h).T
         info_matrix = ht_rinv @ h
         info_matrix = 0.5 * (info_matrix + info_matrix.T)
         object.__setattr__(self, "H", _freeze(h))
@@ -193,6 +192,12 @@ def _check_lambda(lam) -> float:
     return lam
 
 
+def _check_model(prior: GaussianPrior, meas: LinearMeasurement) -> None:
+    """Raise ValueError unless the measurement and the prior share a dimension."""
+    if meas.n != prior.n:
+        raise ValueError(f"measurement expects dimension {meas.n}, prior has {prior.n}")
+
+
 def _check_state(x, prior: GaussianPrior) -> np.ndarray:
     x = _as_vector(x, "x")
     if x.size != prior.n:
@@ -203,7 +208,7 @@ def _check_state(x, prior: GaussianPrior) -> np.ndarray:
 def grad_log_prior(x, prior: GaussianPrior) -> np.ndarray:
     """Gradient of the log prior density: -P_g^{-1} (x - x_prior)."""
     x = _check_state(x, prior)
-    return -cho_solve((prior.chol, True), x - prior.x_prior)
+    return -np.linalg.solve(prior.P_g, x - prior.x_prior)
 
 
 def grad_log_likelihood(x, meas: LinearMeasurement) -> np.ndarray:
@@ -231,8 +236,7 @@ def homotopy_derivatives(
     """
     lam = _check_lambda(lam)
     x = _check_state(x, prior)
-    if meas.n != prior.n:
-        raise ValueError(f"measurement expects dimension {meas.n}, prior has {prior.n}")
+    _check_model(prior, meas)
     s = prior.precision
     g_info = meas.info_matrix
     m = s + lam * g_info
@@ -259,9 +263,9 @@ def log_homotopy_density_unnormalized(
     lam = _check_lambda(lam)
     x = _check_state(x, prior)
     r = x - prior.x_prior
-    log_g = -0.5 * float(r @ cho_solve((prior.chol, True), r))
+    log_g = -0.5 * float(r @ np.linalg.solve(prior.P_g, r))
     s = meas.z - meas.H @ x
-    log_h = -0.5 * float(s @ cho_solve((meas.chol_r, True), s))
+    log_h = -0.5 * float(s @ np.linalg.solve(meas.R, s))
     return log_g + lam * log_h
 
 
@@ -302,11 +306,10 @@ def load_model(path) -> tuple[GaussianPrior, LinearMeasurement]:
         meas = LinearMeasurement(fields["H"], fields["R"], fields["z"])
     except ValueError as exc:
         raise ConfigError(f"model file {path} is invalid: {exc}")
-    if meas.n != prior.n:
-        raise ConfigError(
-            f"model file {path} is inconsistent: H has {meas.H.shape[1]} columns "
-            f"but x_prior has dimension {prior.n}"
-        )
+    try:
+        _check_model(prior, meas)
+    except ValueError as exc:
+        raise ConfigError(f"model file {path} is inconsistent: {exc}")
     return prior, meas
 
 

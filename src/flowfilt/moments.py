@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import kernels
 from .errors import DivergenceError
 from .flows import FlowParameterization, affine_tables
 from .grid import LambdaGrid
-from .model import GaussianPrior, LinearMeasurement, _check_lambda
+from .model import GaussianPrior, LinearMeasurement, _check_lambda, _check_model
 
 
 @dataclass(frozen=True)
@@ -47,16 +46,18 @@ def closed_form_posterior(lam, prior: GaussianPrior,
 
     ``P(lam) = (P_g^{-1} + lam H^T R^{-1} H)^{-1}`` and the mean is the
     matching precision-weighted combination of prior mean and data.
-    Solved via Cholesky factorization, never by explicit inversion.
+    Both are linear solves against the posterior information ``J(lam)``,
+    the matrix inverted above: ``J m = P_g^{-1} x_prior + lam H^T R^{-1} z``
+    and ``J P = I``.
     """
     lam = _check_lambda(lam)
+    _check_model(prior, meas)
     if lam == 0.0:
         return prior.x_prior.copy(), prior.P_g.copy()
     j = prior.precision + lam * meas.info_matrix
-    j_fac = cho_factor(j, lower=True)
-    rhs = cho_solve((prior.chol, True), prior.x_prior) + lam * meas.info_vector
-    mean = cho_solve(j_fac, rhs)
-    cov = cho_solve(j_fac, np.eye(prior.n))
+    rhs = np.linalg.solve(prior.P_g, prior.x_prior) + lam * meas.info_vector
+    mean = np.linalg.solve(j, rhs)
+    cov = np.linalg.solve(j, np.eye(prior.n))
     return mean, 0.5 * (cov + cov.T)
 
 
@@ -66,6 +67,7 @@ def lmv_estimate(prior: GaussianPrior, meas: LinearMeasurement) -> np.ndarray:
     ``x_prior + P_g H^T (H P_g H^T + R)^{-1} (z - H x_prior)``; for this
     model it coincides with the posterior mean at lam 1.
     """
+    _check_model(prior, meas)
     h = meas.H
     innov = meas.z - h @ prior.x_prior
     gram = h @ prior.P_g @ h.T + meas.R

@@ -32,7 +32,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import kernels
 from .errors import AdmissibilityError
@@ -173,8 +172,7 @@ SCREEN_SLACK = 1e-6
 def _s_gain(phi: np.ndarray, s_weight: np.ndarray) -> float:
     """``rho = max_k lambda_max(S^-1 Phi_k^T S Phi_k)``, the largest squared
     S-norm gain of the transition matrices."""
-    chol_inv = solve_triangular(np.linalg.cholesky(s_weight),
-                                np.eye(s_weight.shape[0]), lower=True)
+    chol_inv = np.linalg.inv(np.linalg.cholesky(s_weight))
     # With S = L L^T, L^-1 Phi_k^T S Phi_k L^-T is symmetric and similar to
     # S^-1 Phi_k^T S Phi_k.
     gram = chol_inv @ np.swapaxes(phi, 1, 2) @ s_weight @ phi @ chol_inv.T
@@ -207,8 +205,7 @@ def _ellipsoid_points(count: int, s_weight: np.ndarray, seed: int) -> np.ndarray
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("degenerate direction draw")
-    chol_s = np.linalg.cholesky(s_weight)
-    return solve_triangular(chol_s.T, (z / norms).T, lower=False).T
+    return np.linalg.solve(np.linalg.cholesky(s_weight).T, (z / norms).T).T
 
 
 def _trajectory_from_paths(nodes, path, s_weight, g_weight, a_of=None):

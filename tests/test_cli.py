@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from flowfilt import GaussianPrior, LambdaGrid, LinearMeasurement, save_model
+from flowfilt.acceptance import _cli_env
 from flowfilt.cli import (
     EXIT_ADMISSIBILITY,
     EXIT_DIVERGENCE,
@@ -307,3 +310,14 @@ def test_main_run_dispatch(tmp_path):
     path = _base_config(tmp_path)
     assert main(["run", str(path), "--out", str(tmp_path / "cli-out")]) == EXIT_OK
     assert (tmp_path / "cli-out" / "summary.json").is_file()
+
+
+def test_package_and_cli_load_no_scipy():
+    """numpy is the only runtime dependency: a fresh interpreter that
+    imports flowfilt and its CLI has no scipy module loaded, even where
+    scipy is installed."""
+    code = ("import sys, flowfilt, flowfilt.cli\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_cli_env(1), check=True)
+    assert proc.stdout.strip() == "[]"

@@ -8,11 +8,17 @@ from flowfilt import (
     ConfigError,
     GaussianPrior,
     LinearMeasurement,
+    affine_tables,
+    closed_form_posterior,
+    constant_q,
+    fixed_q,
     grad_log_likelihood,
     grad_log_prior,
     homotopy_derivatives,
+    lmv_estimate,
     load_model,
     log_homotopy_density_unnormalized,
+    preset,
     save_model,
 )
 
@@ -207,3 +213,25 @@ def test_load_model_rejects_invalid_json(tmp_path):
 def test_load_model_rejects_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_model(tmp_path / "absent.json")
+
+
+_MISMATCH_ENTRIES = {
+    "preset_exact": lambda p, m: preset("exact", p, m),
+    "preset_fixed_q": lambda p, m: preset("fixed_q", p, m),
+    "preset_diagnostic": lambda p, m: preset("diagnostic", p, m),
+    "affine_tables": lambda p, m: affine_tables(fixed_q(), p, m, [0.5]),
+    "q_stack": lambda p, m: fixed_q().q_stack([0.5], p, m),
+    "q_stack_own_diffusion": lambda p, m: constant_q(np.eye(3)).q_stack([0.5], p, m),
+    "posterior": lambda p, m: closed_form_posterior(0.5, p, m),
+    "posterior_lam0": lambda p, m: closed_form_posterior(0.0, p, m),
+    "lmv_estimate": lmv_estimate,
+    "homotopy_derivatives": lambda p, m: homotopy_derivatives(np.zeros(3), 0.5, p, m),
+}
+
+
+@pytest.mark.parametrize("entry", _MISMATCH_ENTRIES.values(), ids=_MISMATCH_ENTRIES.keys())
+def test_every_entry_point_names_a_mismatched_model(entry):
+    prior = GaussianPrior(np.zeros(3), np.eye(3))
+    meas = LinearMeasurement(np.eye(2), np.eye(2), np.ones(2))
+    with pytest.raises(ValueError, match="measurement expects dimension 2, prior has 3"):
+        entry(prior, meas)
