@@ -53,9 +53,9 @@ def _psd_spectrum(w: np.ndarray, what: str, lambdas=None):
     and each matrix's rank, its count of eigenvalues above that cut.
 
     Otherwise raises AdmissibilityError for the first failing matrix.  Its
-    message starts with ``what``, and it carries the matrix's lam (from
-    ``lambdas``, when given) and margin ``min(w) / s`` (None when an
-    eigenvalue is not finite, as for a matrix with a NaN or inf entry).
+    message starts with ``what``, names the matrix indefinite or not finite
+    (an overflow or NaN), and it carries the matrix's lam (from ``lambdas``,
+    when given) and margin ``min(w) / s`` (None when not finite).
     """
     scale = np.abs(w).max(axis=1)
     w_min = w.min(axis=1)
@@ -67,9 +67,10 @@ def _psd_spectrum(w: np.ndarray, what: str, lambdas=None):
         lam = None if lambdas is None else lambdas[i]
         where = (f" at lam={lam:.6f}" if lam is not None
                  else f" at index {i}" if w.shape[0] > 1 else "")
-        raise AdmissibilityError(
-            f"{what}{where}: min eigenvalue {w_min[i]:.3e} of scale {scale[i]:.3e}",
-            lam=lam, margin=w_min[i] / scale[i] if finite[i] else None)
+        detail = (f"indefinite, min eigenvalue {w_min[i]:.3e} of scale {scale[i]:.3e}"
+                  if finite[i] else "the matrix is not finite (an overflow or NaN)")
+        raise AdmissibilityError(f"{what}{where}: {detail}", lam=lam,
+                                 margin=w_min[i] / scale[i] if finite[i] else None)
     keep = w > 1e-12 * scale[:, None]
     return np.where(keep, w, 0.0), np.count_nonzero(keep, axis=1)
 
@@ -96,7 +97,7 @@ def _diffusion_spectrum(params, prior: GaussianPrior, meas: LinearMeasurement,
     :func:`_psd_spectrum` returns them; an indefinite or non-finite
     diffusion raises AdmissibilityError naming its lam."""
     return _psd_spectrum(np.linalg.eigvalsh(_sym(params.q_stack(lambdas, prior, meas))),
-                         f"flow {params.kind!r} has an indefinite diffusion", lambdas)
+                         f"flow {params.kind!r} has an inadmissible diffusion", lambdas)
 
 
 def is_admissible(K, derivs: HomotopyDerivatives) -> bool:
@@ -183,7 +184,7 @@ class FlowParameterization:
         lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
         if self._q_builder is not None:
             return self._q_builder(lambdas, prior, meas)
-        return _induced_q(np.linalg.inv(_m_stack(lambdas, prior, meas)),
+        return _induced_q(_m_inv_stack(lambdas, prior, meas),
                           self.k_stack(lambdas, prior, meas), meas.info_matrix)
 
     def validate(self, prior: GaussianPrior, meas: LinearMeasurement,
@@ -214,10 +215,20 @@ def _m_stack(lambdas: np.ndarray, prior: GaussianPrior, meas: LinearMeasurement)
     return prior.precision[None, :, :] + lambdas[:, None, None] * meas.info_matrix[None, :, :]
 
 
+def _m_inv_stack(lambdas, prior: GaussianPrior, meas: LinearMeasurement) -> np.ndarray:
+    """``M(lam)^{-1}`` at every lam, (L, n, n), from one n x n ``eigh``: with
+    ``P_g = C C^T`` and ``C^T H^T R^{-1} H C = V diag(mu) V^T``, ``T = C V``
+    gives ``M(lam)^{-1} = T diag(1 / (1 + lam mu)) T^T``."""
+    mu, v = np.linalg.eigh(prior.chol.T @ meas.info_matrix @ prior.chol)
+    t = prior.chol @ v
+    return (t / (1.0 + lambdas[:, None, None] * mu)) @ t.T
+
+
 def _induced_q(m_inv: np.ndarray, ks: np.ndarray, g_info: np.ndarray) -> np.ndarray:
-    """Diffusion ``M^{-1} (K + K^T + H^T R^{-1} H) M^{-1}`` induced by a
-    stack of K, given the stack of ``M(lam)^{-1}``."""
-    return _sym(m_inv @ (ks + np.swapaxes(ks, 1, 2) + g_info) @ m_inv)
+    """Diffusion ``M^{-1} (K + K^T + H^T R^{-1} H) M^{-1}`` induced by a stack of K
+    and of ``M(lam)^{-1}``; an overflow is left for the semidefiniteness rule to name."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sym(m_inv @ (ks + np.swapaxes(ks, 1, 2) + g_info) @ m_inv)
 
 
 def affine_tables(params: FlowParameterization, prior: GaussianPrior,
@@ -226,9 +237,9 @@ def affine_tables(params: FlowParameterization, prior: GaussianPrior,
 
     This is the workhorse used by the integrators and the moment solver.
     Returns arrays of shape (L, n, n), (L, n) and (L, n, n); Q is None
-    when ``want_q`` is false.  ``M(lam)`` is inverted once, with one
-    batched ``inv``, and that inverse gives A, the drift at the origin
-    and b, and the induced Q of a flow without its own diffusion builder.
+    when ``want_q`` is false.  The stack of ``M(lam)^{-1}``, read off the
+    pencil's eigenbasis, gives A, the drift at the origin and b, and the
+    induced Q of a flow without its own diffusion builder.
 
     Raises AdmissibilityError if the schedule fails the positivity test
     at any requested node (skipped for presets that are admissible by
@@ -238,7 +249,7 @@ def affine_tables(params: FlowParameterization, prior: GaussianPrior,
     _check_lambdas(lambdas)
     g_info = meas.info_matrix
     ks = params.k_stack(lambdas, prior, meas)
-    m_inv = np.linalg.inv(_m_stack(lambdas, prior, meas))
+    m_inv = _m_inv_stack(lambdas, prior, meas)
 
     if not params.analytic_admissible:
         _require_admissible(params, ks, g_info, lambdas)
@@ -275,16 +286,6 @@ def affine_coefficients(lam, params: FlowParameterization, prior: GaussianPrior,
     return AffineFlowCoefficients(lam=lam, A=a[0], b=b[0], Q=q[0])
 
 
-def _exact_a1(lambdas: np.ndarray, prior: GaussianPrior,
-              meas: LinearMeasurement) -> np.ndarray:
-    """``A1`` of the zero-diffusion flow at every lam, (L, n, n): one
-    batched solve over the stack of ``lam H P_g H^T + R``.  The right-hand
-    side is a (1, d, n) stack: numpy 1.x reads a 2-D ``b`` next to a 3-D
-    ``a`` as a stack of vectors."""
-    gram = lambdas[:, None, None] * (meas.H @ prior.P_g @ meas.H.T) + meas.R
-    return -0.5 * prior.P_g @ (meas.H.T @ np.linalg.solve(gram, meas.H[None]))
-
-
 def exact_flow_coefficients(lam, prior: GaussianPrior,
                             meas: LinearMeasurement) -> AffineFlowCoefficients:
     """Closed-form coefficients of the zero-diffusion flow.
@@ -294,7 +295,8 @@ def exact_flow_coefficients(lam, prior: GaussianPrior,
     """
     lam = _check_lambda(lam)
     n = prior.n
-    a1 = _exact_a1(np.array([lam]), prior, meas)[0]
+    gram = lam * (meas.H @ prior.P_g @ meas.H.T) + meas.R
+    a1 = -0.5 * prior.P_g @ (meas.H.T @ np.linalg.solve(gram, meas.H))
     eye = np.eye(n)
     core = (eye + lam * a1) @ (prior.P_g @ meas.info_vector) + a1 @ prior.x_prior
     b1 = (eye + 2.0 * lam * a1) @ core
@@ -332,7 +334,7 @@ def diffusion_factor(Q, lambdas=None) -> np.ndarray:
     n = stack.shape[-1]
     w, vecs = np.linalg.eigh(_sym(stack))
     # Eigenvalues ascend, so the kept ones of each matrix are its last rank.
-    w, rank = _psd_spectrum(w, "diffusion is indefinite", lambdas)
+    w, rank = _psd_spectrum(w, "inadmissible diffusion", lambdas)
     m_max = int(rank.max(initial=0))
     # Column j of matrix k is its eigenpair n - rank_k + j, or padding.
     cols = np.arange(m_max)
@@ -453,9 +455,8 @@ def diagnostic_noise(alpha: float) -> FlowParameterization:
 
     def k_builder(lambdas, prior, meas):
         _check_lambdas(lambdas)
-        return _reference_k(_m_stack(lambdas, prior, meas),
-                            _exact_a1(lambdas, prior, meas),
-                            alpha * np.eye(prior.n))
+        a1 = -0.5 * _m_inv_stack(lambdas, prior, meas) @ meas.info_matrix
+        return _reference_k(_m_stack(lambdas, prior, meas), a1, alpha * np.eye(prior.n))
 
     return FlowParameterization("diagnostic", k_builder, analytic_admissible=True)
 

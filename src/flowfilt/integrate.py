@@ -156,7 +156,7 @@ def build_tables(params: FlowParameterization, grid: LambdaGrid,
     if grid.scheme == "rk4":
         a_nodes, b_nodes, q_nodes = affine_tables(params, prior, meas, grid.nodes)
         _, rank = _psd_spectrum(np.linalg.eigvalsh(_sym(q_nodes)),
-                                "diffusion is indefinite", grid.nodes)
+                                "inadmissible diffusion", grid.nodes)
         if rank.any():
             k = np.flatnonzero(rank)[0]
             raise ValueError("the rk4 scheme requires a diffusion-free flow; the "

@@ -35,8 +35,8 @@ import numpy as np
 
 from . import kernels
 from .errors import AdmissibilityError
-from .flows import (FlowParameterization, _diffusion_spectrum, affine_tables,
-                    exact_flow)
+from .flows import (FlowParameterization, _diffusion_spectrum, _m_stack,
+                    affine_tables, exact_flow)
 from .grid import LambdaGrid
 from .integrate import ELLIPSOID_STREAM, FTSS_STREAM, make_generator
 from .model import GaussianPrior, HomotopyDerivatives, LinearMeasurement
@@ -468,8 +468,7 @@ def ellipsoid_invariance_check(prior: GaussianPrior, meas: LinearMeasurement,
         return 0.0
     x0 = _ellipsoid_points(n_particles, prior.precision, seed)
     phi = _transition(_flow_a(exact_flow(), prior, meas), grid)
-    m_stack = prior.precision + grid.nodes[:, None, None] * meas.info_matrix
-    v_m = _node_quad(phi, m_stack, x0)
+    v_m = _node_quad(phi, _m_stack(grid.nodes, prior, meas), x0)
     return float(np.abs(v_m - 1.0).max())
 
 

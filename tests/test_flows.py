@@ -162,7 +162,9 @@ def test_diagnostic_schedule_matches_the_per_lam_formula(make_model):
             gram = lam * hph + meas.R
             a1 = -0.5 * prior.P_g @ (meas.H.T @ np.linalg.solve(gram, meas.H))
             want.append((m @ (alpha * np.eye(n)) + a1.T) @ m)
-        assert np.array_equal(flow.k_stack(lams, prior, meas), np.array(want))
+        want = np.array(want)
+        assert_allclose(flow.k_stack(lams, prior, meas), want, rtol=0,
+                        atol=1e-14 * np.abs(want).max())
 
 
 def test_constant_q_round_trips_through_schedule(make_model):
@@ -449,6 +451,35 @@ def test_positivity_tests_reject_non_finite_matrices(make_model):
     with pytest.raises(AdmissibilityError) as info:
         build_tables(params, grid, prior, meas)
     assert (info.value.lam, info.value.margin) == (0.375, None)
+
+
+def test_an_overflowing_model_is_named_not_finite():
+    # P_g = 1e300 I overflows the induced diffusion M^-1 J M^-1 at lam 0.
+    prior = GaussianPrior(np.zeros(2), 1e300 * np.eye(2))
+    meas = LinearMeasurement(np.array([[1.0, 0.5]]), np.eye(1), np.array([1.0]))
+    for kind in ("fixed_q", "diagnostic"):
+        with pytest.raises(AdmissibilityError, match="finite") as info:
+            preset(kind, prior, meas)
+        assert "indefinite" not in str(info.value)
+        assert (info.value.lam, info.value.margin) == (0.0, None)
+
+
+def test_no_inverse_or_solve_is_batched_over_lam(monkeypatch, make_model):
+    # Every M(lam)^-1 comes from the pencil's one n x n eigh.
+    prior, meas = make_model(np.random.default_rng(41), 4, 2)
+    flows = [preset(kind, prior, meas, Q0=np.eye(4)) for kind in PRESET_KINDS]
+    shapes = []
+    for name in ("inv", "solve"):
+        def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            shapes.append((name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    lams = np.linspace(0.0, 1.0, 11)
+    for flow in flows:
+        affine_tables(flow, prior, meas, lams)
+        flow.q_stack(lams, prior, meas)
+        flow.k_stack(lams, prior, meas)
+    assert shapes and all(len(shape) < 3 for _, shape in shapes), shapes
 
 
 def _unit_model():

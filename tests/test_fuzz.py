@@ -27,7 +27,7 @@ from flowfilt import (
     stability,
 )
 from flowfilt.estimation import sample_prior
-from flowfilt.flows import affine_tables
+from flowfilt.flows import _m_inv_stack, _m_stack, affine_tables
 from flowfilt import integrate
 from flowfilt.integrate import build_tables
 
@@ -345,4 +345,36 @@ def test_scanned_moments_match_the_oracle_and_the_per_step_composition(monkeypat
             if not max(e_mean, e_cov) <= MOMENT_TOL:
                 misses.append(f"model {index} {kind} ({steps} steps): oracle "
                               f"{max(e_mean, e_cov):.2e}")
+    assert not misses, misses
+
+
+PENCIL_SEED = 20261021
+PENCIL_MODEL_COUNT = 200
+
+
+def _draw_pencil_models():
+    """200 models with n in 1..6, d in 1..n, so H^T R^-1 H is often rank
+    deficient, and P_g, R of condition number up to 1e3."""
+    rng = np.random.default_rng(PENCIL_SEED)
+    models = []
+    for _ in range(PENCIL_MODEL_COUNT):
+        n = int(rng.integers(1, 7))
+        d = int(rng.integers(1, n + 1))
+        models.append((GaussianPrior(rng.standard_normal(n), _spd(rng, n, 1e3)),
+                       LinearMeasurement(rng.standard_normal((d, n)), _spd(rng, d, 1e3),
+                                         2.0 * rng.standard_normal(d))))
+    return models
+
+
+def test_pencil_inverse_matches_the_batched_inverse():
+    models = _draw_pencil_models()
+    assert any(meas.H.shape[0] < prior.n for prior, meas in models)
+    lams = np.linspace(0.0, 1.0, 101)
+    misses = []
+    for index, (prior, meas) in enumerate(models):
+        want = np.linalg.inv(_m_stack(lams, prior, meas))
+        gap = (np.abs(_m_inv_stack(lams, prior, meas) - want).max(axis=(1, 2))
+               / np.abs(want).max(axis=(1, 2))).max()
+        if not gap <= 1e-12:
+            misses.append(f"model {index}: {gap:.2e}")
     assert not misses, misses

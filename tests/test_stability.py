@@ -11,6 +11,7 @@ from flowfilt import (
     GaussianPrior,
     LambdaGrid,
     LinearMeasurement,
+    ParticleEnsemble,
     Regime,
     build_stability_report,
     check_fts,
@@ -24,6 +25,7 @@ from flowfilt import (
     linear_error_trajectory,
     lyapunov_derivative,
     preset,
+    propagate_ensemble,
 )
 from flowfilt.flows import k_schedule
 
@@ -434,6 +436,44 @@ def test_transition_matrices_match_direct_propagation():
     via_phi = np.einsum("kij,pj->pki", phi, block)
     assert_allclose(via_phi, paths, rtol=1e-12,
                     atol=1e-12 * np.abs(paths).max())
+
+
+def _pencil_phi(prior, meas, lams, power):
+    """Closed-form ``Phi(lam) = T diag((1 + lam mu)^-power) T^-1``, with
+    ``P_g = C C^T``, ``C^T H^T R^-1 H C = V diag(mu) V^T`` and ``T = C V``:
+    ``power`` 1/2 for the exact flow, 1 for fixed_q."""
+    c = np.linalg.cholesky(prior.P_g)
+    mu, v = np.linalg.eigh(c.T @ meas.H.T @ np.linalg.solve(meas.R, meas.H) @ c)
+    t = c @ v
+    return (t * (1.0 + lams[:, None, None] * mu) ** -power) @ np.linalg.inv(t)
+
+
+def _rel_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_transition_matrices_match_the_pencil_closed_form(make_model):
+    prior, meas = make_model(np.random.default_rng(43), 4, 2)
+    exact, fixed = preset("exact", prior, meas), preset("fixed_q", prior, meas)
+    # Classic RK4 is exact, to rounding, on fixed_q's y' = -mu y / (1 + lam mu).
+    for steps in (50, 100, 200, 1000):
+        grid = LambdaGrid.uniform(steps)
+        got = stability._transition(stability._flow_a(fixed, prior, meas), grid)
+        assert _rel_gap(got, _pencil_phi(prior, meas, grid.nodes, 1.0)) <= 1e-12
+    # The exact flow's Phi converges at fourth order, read off the step
+    # transitions and off the RK4 ensemble's columns x(e_i) - x(0).
+    phi_gaps, ens_gaps = [], []
+    for steps in (50, 100, 200):
+        grid = LambdaGrid.uniform(steps, scheme="rk4")
+        want = _pencil_phi(prior, meas, grid.nodes, 0.5)
+        phi_gaps.append(_rel_gap(
+            stability._transition(stability._flow_a(exact, prior, meas), grid), want))
+        start = ParticleEnsemble(np.vstack([np.zeros(4), np.eye(4)]), lam=0.0, seed=0)
+        end = propagate_ensemble(start, exact, grid, prior, meas).particles
+        ens_gaps.append(_rel_gap((end[1:] - end[0]).T, want[-1]))
+    for gaps in (phi_gaps, ens_gaps):
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert abs(np.log2(coarse / fine) - 4.0) < 0.1, gaps
 
 
 def test_linear_error_trajectory_names_the_lam_where_phi_leaves_the_range():
