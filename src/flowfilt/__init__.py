@@ -8,7 +8,6 @@ finite-time stability against closed-form Gaussian oracles.
 
 __version__ = "0.1.0"
 
-from .acceptance import AcceptanceResult, run_all
 from .errors import AdmissibilityError, ConfigError, DivergenceError
 from .estimation import (ConsistencyTable, EstimatorReport, ParticleEnsemble,
                          consistency_sweep, covariance_estimate,
@@ -36,4 +35,16 @@ from .stability import (ErrorTrajectory, FtcsResult, FtsResult, FtssResult,
                         error_trajectory, linear_error_trajectory,
                         lyapunov_derivative)
 
+# The acceptance suite is imported on first use of these names, so that
+# ``import flowfilt`` does not compile it.
+_ACCEPTANCE_NAMES = ("AcceptanceResult", "run_all")
 __all__ = [name for name in dir() if not name.startswith("_")]
+__all__ += ["acceptance", *_ACCEPTANCE_NAMES]
+
+
+def __getattr__(name):
+    if name in _ACCEPTANCE_NAMES:
+        from . import acceptance
+
+        return getattr(acceptance, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

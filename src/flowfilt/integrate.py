@@ -12,9 +12,16 @@ stepwise scheme.  A recorded particle is the one-row case of the same
 run: it is stepped along per-step increments conditioned on its eta, and
 its last node is the same terminal.
 
-All noise comes from counter-based generators keyed by
-``(seed, stream_id)``, so any particle can be replayed in isolation and
-results do not depend on ensemble size or thread count.
+All propagation noise comes from the counter-based generator
+Philox4x64-10 keyed by ``(seed, stream_id)``, so any particle can be
+replayed in isolation and results do not depend on ensemble size or
+thread count.  Block b of a stream is the generator's four words at
+counter ``(b + 1, 0, 0, 0)``, the words of
+``np.random.Philox(key=[seed, stream_id]).random_raw``; each word pair
+``(w0, w1)`` gives two normals by Box-Muller on
+``u = ((w >> 11) + 0.5) 2**-53``, which is never 0.  Every stream of a
+batch is computed in the same uint64 array pass
+(:func:`_leading_normals`).
 """
 
 from __future__ import annotations
@@ -53,43 +60,56 @@ def make_generator(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Keyring:
-    """One Philox generator, re-keyed in place to each stream it serves.
+# Philox4x64-10 (Salmon et al., SC'11): the round multipliers and the
+# Weyl increments of the key.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+# Philox blocks computed per array pass, whatever the number of streams
+# or draws, so the uint64 temporaries stay a few MB.
+_PASS_BLOCKS = 1 << 14
 
-    Building a Philox also seeds an unused SeedSequence from OS entropy,
-    which costs more than the key itself.  A keyring builds one generator
-    and one state dict; re-keying writes the key into the dict and hands
-    the dict to the generator, which copies it.  The dict holds Python
-    ints rather than uint64 arrays because the generator reads those
-    faster: 1.2 against 3.2 us per re-key on one x86 core.
+
+def _mulhilo(a, m):
+    """High and low words of the 128-bit products ``a * m``, the high one
+    built from 32-bit halves (Hacker's Delight, ``mulhu``)."""
+    a_lo, a_hi = a & 0xFFFFFFFF, a >> 32
+    m_lo, m_hi = m & 0xFFFFFFFF, m >> 32
+    t = a_hi * m_lo + ((a_lo * m_lo) >> 32)
+    w = (t & 0xFFFFFFFF) + a_lo * m_hi
+    return a_hi * m_hi + (t >> 32) + (w >> 32), a * m
+
+
+def _philox(seed: int, keys: np.ndarray, first: int, blocks: int) -> np.ndarray:
+    """Philox4x64-10 blocks ``first .. first + blocks - 1`` of each stream
+    ``(seed, k)``, k in the uint64 keys, as (len(keys), blocks, 4) words.
+
+    Block b runs the ten rounds on counter ``(b + 1, 0, 0, 0)``: numpy's
+    Philox increments its counter before it generates.
     """
-
-    def __init__(self, gen: np.random.Generator = None):
-        self.gen = make_generator(0, 0) if gen is None else gen
-        self._key = [0, 0]
-        # A freshly keyed Philox: zero counter, empty buffer, no cached word.
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": (0, 0, 0, 0), "key": self._key},
-                       "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-                       "has_uint32": 0, "uinteger": 0}
-
-    def keyed(self, seed: int, stream_id: int) -> np.random.Generator:
-        """The generator, in the state of ``make_generator(seed, stream_id)``."""
-        self._key[0] = seed
-        self._key[1] = stream_id
-        self.gen.bit_generator.state = self._state
-        return self.gen
+    k0, k1 = np.uint64(seed), keys[:, None]
+    c0 = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)[None, :]
+    c1 = c2 = c3 = np.uint64(0)
+    # The key bumps and the low products wrap modulo 2**64 by design.
+    with np.errstate(over="ignore"):
+        for _ in range(10):
+            hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+            hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+    return np.stack((c0, c1, c2, c3), axis=-1)
 
 
 @dataclass
 class NoiseStream:
     """Reproducible source of standard normal draws.
 
-    The draws are a pure function of ``(seed, stream_id)``, and a longer
-    block extends a shorter one, so every read of a stream starts at its
-    head.  A particle's stream starts with the r normals ``eta`` of its
-    terminal; the ``steps * m`` normals ``zeta`` of its bridge increments
-    follow them.
+    The draws are a pure function of ``(seed, stream_id)``: the stream's
+    Philox4x64-10 words (block b at counter ``(b + 1, 0, 0, 0)``), two
+    normals per word pair by Box-Muller (see the module docstring).  A
+    longer block extends a shorter one, so every read of a stream starts
+    at its head.  A particle's stream starts with the r normals ``eta``
+    of its terminal; the ``steps * m`` normals ``zeta`` of its bridge
+    increments follow them.
     """
 
     seed: int
@@ -99,21 +119,12 @@ class NoiseStream:
         self.seed = _check_seed(self.seed)
         self.stream_id = _check_seed(self.stream_id)
 
-    def normals(self, rows: int, cols: int, gen: np.random.Generator = None,
-                out: np.ndarray = None) -> np.ndarray:
+    def normals(self, rows: int, cols: int) -> np.ndarray:
         """Standard normal block of shape (rows, cols), replayed from the key
-        and filled in C order.
-
-        ``gen``, when given, is a Philox generator (or a keyring around
-        one) that is re-keyed to this stream and drawn from instead of
-        building a new one.  ``out``, when given, is a C-contiguous
-        float64 (rows, cols) buffer that is filled and returned instead of
-        a new array.  The block is the same either way.
-        """
-        if not isinstance(gen, _Keyring):
-            gen = _Keyring(gen)
-        return gen.keyed(self.seed, self.stream_id).standard_normal(
-            (int(rows), int(cols)), out=out)
+        and filled in C order."""
+        rows, cols = int(rows), int(cols)
+        return _leading_normals(self.seed, [self.stream_id],
+                                rows * cols).reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -189,29 +200,40 @@ def _leading_normals(seed: int, ids, count: int) -> np.ndarray:
     """The first ``count`` normals of each stream ``(seed, i)``, i in ids,
     as one (len(ids), count) row each.
 
-    Every stream is drawn by its own :meth:`NoiseStream.normals` call,
-    through one keyring, straight into its row.  The seed and the id
-    range are checked once, and one NoiseStream is re-pointed at each id.
-    With count 0 nothing is drawn and no stream is keyed.
+    All streams are computed together, in passes of at most
+    ``_PASS_BLOCKS`` Philox blocks: whole rows at a time, or slices of
+    one row when a row alone is longer.  Each block gives four normals,
+    and a row's normals never depend on how many follow.  The seed and
+    the ends of the id range are checked; with count 0 nothing is drawn.
     """
-    out = np.empty((len(ids), 1, count))
+    out = np.empty((len(ids), count))
     if count == 0 or len(ids) == 0:
-        return out[:, 0, :]
-    stream = NoiseStream(seed, ids[0])
+        return out
+    _check_seed(seed)
+    _check_seed(ids[0])
     _check_seed(ids[-1])
-    keyring = _Keyring()
-    for stream_id, row in zip(ids, out):
-        stream.stream_id = int(stream_id)
-        stream.normals(1, count, keyring, row)
-    return out[:, 0, :]
+    keys = np.asarray(ids, dtype=np.uint64)
+    blocks = -(-count // 4)
+    rows = max(1, _PASS_BLOCKS // blocks)
+    span = min(blocks, _PASS_BLOCKS)
+    for row in range(0, len(keys), rows):
+        for block in range(0, blocks, span):
+            w = _philox(seed, keys[row:row + rows], block, min(span, blocks - block))
+            u = ((w >> 11) + 0.5) * 2.0**-53
+            radius = np.sqrt(-2.0 * np.log(u[..., 0::2]))
+            angle = 2.0 * np.pi * u[..., 1::2]
+            z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+            z = z.reshape(len(z), -1)[:, :count - 4 * block]
+            out[row:row + rows, 4 * block:4 * block + z.shape[1]] = z
+    return out
 
 
 def _bridge_chunk(seed: int, ids, law) -> np.ndarray:
     """Bridge increments of the streams ``(seed, i)``, i in ids, in the
     kernels' (steps, m, N) layout.
 
-    Each stream's ``r + steps * m`` normals are drawn by one call of
-    :func:`_leading_normals`: the terminal's eta, then the zeta that
+    One :func:`_leading_normals` call draws every stream's
+    ``r + steps * m`` normals: the terminal's eta, then the zeta that
     :func:`kernels._bridge` conditions on it.
     """
     steps, _, m = law.gk.shape
@@ -239,10 +261,10 @@ def _run(x, tables: CoefficientTables, seed: int, ids, record: bool = False):
                                      record=record)
     law = kernels._em_law(*kernels._em_maps(tables.a_nodes, tables.b_nodes,
                                             tables.q_factors, tables.dlam))
+    ids = np.asarray(ids, dtype=np.uint64)
     eta = _leading_normals(seed, ids, law.f.shape[1])
     return kernels._affine_run(
-        x, law, eta.T, lambda idx: _bridge_chunk(seed, [ids[i] for i in idx], law),
-        record)
+        x, law, eta.T, lambda idx: _bridge_chunk(seed, ids[idx], law), record)
 
 
 def propagate_particle(x0, params: FlowParameterization, grid: LambdaGrid,
@@ -303,7 +325,8 @@ def propagate_ensemble(ensemble, params: FlowParameterization, grid: LambdaGrid,
     seed = _check_seed(ensemble.seed if noise_seed is None else noise_seed)
     out, _, code, step, particle = _run(ensemble.particles,
                                         build_tables(params, grid, prior, meas),
-                                        seed, range(ensemble.n_particles))
+                                        seed, np.arange(ensemble.n_particles,
+                                                        dtype=np.uint64))
     if code:
         _raise_divergence(code, step, particle, grid.nodes, single=False)
     return ParticleEnsemble(particles=out, lam=1.0, seed=ensemble.seed)

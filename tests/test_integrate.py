@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -44,34 +45,86 @@ def test_noise_stream_replays_from_the_key():
 
 
 def test_rekeyed_generator_draws_the_fresh_stream():
-    gen = integrate.make_generator(3, 0)
-    for seed, stream_id in ((1, 0), (1, 7), (2**64 - 1, 2**63 + 3)):
-        # Leave a half-used buffer and a cached 32-bit word behind.
-        gen.standard_normal(3)
-        gen.integers(0, 10, size=3, dtype=np.uint32)
-        reused = NoiseStream(seed, stream_id).normals(9, 2, gen)
-        assert np.array_equal(reused, NoiseStream(seed, stream_id).normals(9, 2))
     heads = integrate._leading_normals(11, range(4, 9), 6)
     for row, stream_id in enumerate(range(4, 9)):
         assert np.array_equal(heads[row], NoiseStream(11, stream_id).normals(1, 6)[0])
 
 
-def test_leading_normals_are_each_streams_first_draws(monkeypatch):
-    seen = []
-    normals = NoiseStream.normals
-
-    def counting(self, rows, cols, gen=None, out=None):
-        seen.append((self.seed, self.stream_id, rows, cols))
-        return normals(self, rows, cols, gen, out)
-
-    monkeypatch.setattr(NoiseStream, "normals", counting)
+def test_leading_normals_are_each_streams_first_draws():
     heads = integrate._leading_normals(13, range(3, 134), 3)
-    assert seen == [(13, i, 1, 3) for i in range(3, 134)]
-    monkeypatch.undo()
     # The first draws of a stream do not depend on how many follow.
     expected = np.stack([NoiseStream(13, i).normals(4, 250).ravel()[:3]
                          for i in range(3, 134)])
     assert heads.tobytes() == expected.tobytes()
+    # Nor on a row longer than one pass, which is drawn in slices.
+    count = 4 * integrate._PASS_BLOCKS + 5
+    long = integrate._leading_normals(13, [3, 2**64 - 1], count)
+    assert long[:, :3].tobytes() == integrate._leading_normals(
+        13, [3, 2**64 - 1], 3).tobytes()
+    assert long[0].tobytes() == NoiseStream(13, 3).normals(1, count).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_philox_words_are_numpys(seed):
+    # Block b of stream (seed, i) is numpy's Philox keyed [seed, i], whose
+    # counter starts at 1; ids span the auxiliary-tag range and the top.
+    ids = [0, 1, 2**63 + 3, 2**64 - 1]
+    words = integrate._philox(seed, np.array(ids, dtype=np.uint64), 0, 5)
+    later = integrate._philox(seed, np.array(ids, dtype=np.uint64), 2, 3)
+    for row, stream_id in enumerate(ids):
+        key = np.array([seed, stream_id], dtype=np.uint64)
+        raw = np.random.Philox(key=key).random_raw(20)
+        assert np.array_equal(words[row].ravel(), raw)
+        assert np.array_equal(later[row].ravel(), raw[8:])
+
+
+def test_normals_are_standard_normal():
+    # 2**18 normals from 4096 streams, seed fixed in advance.
+    z = integrate._leading_normals(20261020, range(4096), 64).ravel()
+    n = z.size
+    assert abs(z.mean()) <= 5.0 / np.sqrt(n)
+    assert abs(z.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
+    # E z^4 = 3 and Var z^4 = 105 - 9.
+    assert abs((z**4).mean() - 3.0) <= 5.0 * np.sqrt(96.0 / n)
+    cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(np.sort(z) / np.sqrt(2.0)))
+    cdf = cdf.astype(float)
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks < 1.6276 / np.sqrt(n)  # the 1 % critical value
+
+
+def test_bridge_sized_draw_holds_a_bounded_transient():
+    # 2000 streams of 1002 normals, the eta and zeta of a 500-step bridge:
+    # the passes add a fixed few MB to the 16 MB output.
+    count = 1002
+    tracemalloc.start()
+    try:
+        out = integrate._leading_normals(5, range(2000), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 2000 * count * 8
+    assert peak <= 1.5 * out.nbytes
+
+
+def test_propagation_builds_no_generator(monkeypatch):
+    prior = GaussianPrior(np.array([0.2, -0.1]), np.array([[2.0, 0.3], [0.3, 1.0]]))
+    meas = LinearMeasurement(np.eye(2), np.eye(2), np.array([1.0, 0.5]))
+    params = preset("fixed_q", prior, meas)
+    grid = LambdaGrid.uniform(50)
+    ens = sample_prior(1000, prior, seed=4)
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    out = propagate_ensemble(ens, params, grid, prior, meas)
+    path = propagate_particle(ens.particles[7], params, grid, NoiseStream(4, 7),
+                              prior, meas)
+    assert built == []
+    assert path.terminal.tobytes() == out.particles[7].tobytes()
 
 
 def _small_law(kind="fixed_q"):
@@ -104,21 +157,22 @@ def test_noise_chunk_stacks_each_streams_block(width, first):
 
 def test_noise_chunk_draws_once_per_stream(monkeypatch):
     seen = []
-    normals = NoiseStream.normals
+    leading = integrate._leading_normals
 
-    def counting(self, rows, cols, gen=None, out=None):
-        seen.append((self.seed, self.stream_id, rows, cols))
-        return normals(self, rows, cols, gen, out)
+    def counting(seed, ids, count):
+        seen.append((seed, [int(i) for i in ids], count))
+        return leading(seed, ids, count)
 
-    monkeypatch.setattr(NoiseStream, "normals", counting)
+    monkeypatch.setattr(integrate, "_leading_normals", counting)
     integrate._bridge_chunk(13, range(3, 134), _small_law())
-    # eta and zeta of a stream come from one call: r + steps * m normals.
-    assert seen == [(13, i, 1, 12) for i in range(3, 134)]
-    seen.clear()
+    # eta and zeta of every stream come from one call: r + steps * m normals.
+    assert seen == [(13, list(range(3, 134)), 12)]
     # Without diffusion nothing is drawn and no stream is keyed.
+    words = []
+    monkeypatch.setattr(integrate, "_philox", lambda *args: words.append(args))
     chunk = integrate._bridge_chunk(13, range(3, 134), _small_law("exact"))
     assert chunk.shape == (5, 0, 131)
-    assert seen == []
+    assert words == []
 
 
 def test_noise_chunk_checks_the_seed_and_the_id_range():
@@ -127,15 +181,6 @@ def test_noise_chunk_checks_the_seed_and_the_id_range():
                       (1, range(-1, 2))):
         with pytest.raises(ValueError, match="64-bit"):
             integrate._bridge_chunk(seed, ids, law)
-
-
-def test_normals_fill_the_callers_buffer():
-    buf = np.full((7, 3), np.nan)
-    got = NoiseStream(8, 5).normals(7, 3, out=buf)
-    assert got is buf
-    assert buf.tobytes() == NoiseStream(8, 5).normals(7, 3).tobytes()
-    with pytest.raises(ValueError):
-        NoiseStream(8, 5).normals(7, 2, out=buf)
 
 
 def test_single_euler_step_by_hand(canonical):
@@ -220,13 +265,13 @@ def test_zero_diffusion_ensemble_draws_no_noise(monkeypatch, make_model):
     grid = LambdaGrid.uniform(40)  # Euler grid, so the EM kernel runs
     ens = sample_prior(9, prior, seed=31)
     calls = []
-    normals = NoiseStream.normals
+    philox = integrate._philox
 
-    def counting(self, *args, **kwargs):
-        calls.append(self.stream_id)
-        return normals(self, *args, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return philox(*args)
 
-    monkeypatch.setattr(NoiseStream, "normals", counting)
+    monkeypatch.setattr(integrate, "_philox", counting)
     out = propagate_ensemble(ens, params, grid, prior, meas)
     assert calls == []
     monkeypatch.undo()

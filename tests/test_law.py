@@ -122,15 +122,15 @@ def test_rank_deficient_law_draws_r_normals_per_particle(monkeypatch):
     f = law.f
     assert f.shape == (3, 1)
     seen = []
-    normals = NoiseStream.normals
+    leading = integrate._leading_normals
 
-    def counting(self, rows, cols, gen=None, out=None):
-        seen.append((self.stream_id, rows, cols))
-        return normals(self, rows, cols, gen, out)
+    def counting(seed, ids, count):
+        seen.append((seed, [int(i) for i in ids], count))
+        return leading(seed, ids, count)
 
-    monkeypatch.setattr(NoiseStream, "normals", counting)
+    monkeypatch.setattr(integrate, "_leading_normals", counting)
     out = propagate_ensemble(ens, params, grid, prior, meas)
-    assert seen == [(i, 1, 1) for i in range(25)]
+    assert seen == [(9, list(range(25)), 1)]
     # Every terminal lies on the line through Phi x0 + d along F.
     det = out.particles - (ens.particles @ law.ct[:3] + law.d)
     resid = det - np.outer(det @ f[:, 0] / (f[:, 0] @ f[:, 0]), f[:, 0])
@@ -143,13 +143,13 @@ def test_zero_diffusion_em_flow_keys_no_stream(monkeypatch):
     grid = LambdaGrid.uniform(30)
     ens = sample_prior(5, prior, seed=2)
     keyed = []
-    keyed_fn = integrate._Keyring.keyed
+    philox = integrate._philox
 
-    def counting(self, seed, stream_id):
-        keyed.append(stream_id)
-        return keyed_fn(self, seed, stream_id)
+    def counting(seed, keys, first, blocks):
+        keyed.append(keys)
+        return philox(seed, keys, first, blocks)
 
-    monkeypatch.setattr(integrate._Keyring, "keyed", counting)
+    monkeypatch.setattr(integrate, "_philox", counting)
     out = propagate_ensemble(ens, params, grid, prior, meas)
     path = propagate_particle(ens.particles[3], params, grid, NoiseStream(2, 3),
                               prior, meas)
